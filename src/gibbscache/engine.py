@@ -1,10 +1,12 @@
 """Optimized single-site sampler core shared by chain runs and the coupled
 simulation.
 
-Keeps incremental per-(segment, content) storage counts so one update costs
-O(|segments containing j| * (M + K * n_candidates)) instead of a full
-hit-rate recomputation.  The public, readable formulas live in ``model`` and
-``gibbs``; tests assert this core agrees with them exactly.
+Keeps incremental per-(segment, content) storage counts.  The local energy
+is additive over a column's contents, so the Gibbs conditional over K-subsets
+is a product-weight design (conditional Poisson sampling), sampled exactly
+without enumerating candidates: one update costs O(|segments containing j| *
+M + M * K) for any catalog size.  The public, readable formulas live in
+``model`` and ``gibbs``; tests assert this core agrees with them exactly.
 """
 
 from __future__ import annotations
@@ -12,12 +14,45 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import CapacityError
 from .geometry import CellTopology
-from .gibbs import COND_ENUM_LIMIT
 from .model import ContentCatalog
 
-import itertools
+
+def _lex_sample(a: list[float], k: int, u: float) -> tuple[int, ...]:
+    """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
+    by inverse CDF at ``u`` in lexicographic order.
+
+    ``E(s, r) = log e_r(exp(a[s]), ..., exp(a[m-1]))``, kept in log space so
+    that it stays finite at any beta.  With r contents left to choose, the
+    subsets that take s come first, with conditional mass ``p = exp(a[s] +
+    E(s+1, r-1) - E(s, r))``; the uniform is rescaled into the chosen block.
+    """
+    exp, log1p = math.exp, math.log1p
+    m = len(a)
+    L = [[0.0]]  # rows from s = m down: L[m - s][r] = E(s, r)
+    for a_s in reversed(a):
+        nxt = L[-1]
+        row = [0.0]
+        for r in range(1, len(nxt)):
+            x = nxt[r]
+            y = a_s + nxt[r - 1]
+            row.append(x + log1p(exp(y - x)) if x > y else y + log1p(exp(x - y)))
+        if len(nxt) <= k:
+            row.append(a_s + nxt[-1])
+        L.append(row)
+    chosen = []
+    for s in range(m):
+        r = k - len(chosen)
+        if r == 0:
+            break
+        # The last r contents are forced; u stays < 1, so a p rounded to 1 is taken.
+        p = 1.0 if m - s == r else exp(a[s] + L[m - s - 1][r - 1] - L[m - s][r])
+        if u < p:
+            chosen.append(s + 1)
+            u /= p
+        else:
+            u = (u - p) / (1.0 - p)
+    return tuple(chosen)
 
 
 class FastCore:
@@ -44,24 +79,9 @@ class FastCore:
             raise ValueError(f"unknown rate_source {rate_source!r}")
         if est_scope not in ("shared", "local"):
             raise ValueError(f"unknown estimator scope {est_scope!r}")
-        self.top = top
-        self.cat = cat
         self.n_bs = top.n_bs
         self.m = cat.m_contents
         self.k = cache_size
-        ncand = math.comb(self.m, self.k)
-        if ncand > COND_ENUM_LIMIT:
-            raise CapacityError(
-                f"C({self.m},{self.k}) = {ncand} candidate columns exceeds {COND_ENUM_LIMIT}"
-            )
-        # Candidates in lexicographic order, 0-based internally.
-        self.cands: list[tuple[int, ...]] = list(
-            itertools.combinations(range(self.m), self.k)
-        )
-        self.cand_ids: list[tuple[int, ...]] = [
-            tuple(i + 1 for i in c) for c in self.cands
-        ]
-        self.cand_index = {c: idx for idx, c in enumerate(self.cand_ids)}
         # Deterministic segment order: by (size, members).
         self.segments = sorted(
             top.segment_areas.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
@@ -96,10 +116,9 @@ class FastCore:
             ]
         else:
             self.est_scale = [1.0] * len(self.segments)
-        # Chain state: one candidate index per station.
-        self.col = [0] * self.n_bs
-        self.counts = [[0] * self.m for _ in self.segments]
-        self._rebuild_counts()
+        # Chain state: a sorted 1-based content tuple per station.
+        self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.set_columns([range(1, self.k + 1)] * self.n_bs)
 
     # -- placement state ---------------------------------------------------
 
@@ -107,24 +126,27 @@ class FastCore:
         """Install a placement given per-station content ids (1-based)."""
         if len(columns) != self.n_bs:
             raise ValueError("wrong number of columns")
-        for j, contents in enumerate(columns):
-            key = tuple(sorted(contents))
-            if key not in self.cand_index:
+        cols = [tuple(sorted(contents)) for contents in columns]
+        for key in cols:
+            ok = all(isinstance(i, int) and 1 <= i <= self.m for i in key)
+            if not ok or len(key) != self.k or len(set(key)) != self.k:
                 raise ValueError(f"column {key} is not a K-subset of the catalog")
-            self.col[j] = self.cand_index[key]
+        self.col = cols
+        self._key = tuple(cols)  # what columns() returns until a column changes
         self._rebuild_counts()
 
     def _rebuild_counts(self) -> None:
-        for q, bs in enumerate(self.seg_bs):
+        self.counts = []
+        for bs in self.seg_bs:
             cnt = [0] * self.m
             for j in bs:
-                for i in self.cands[self.col[j - 1]]:
-                    cnt[i] += 1
-            self.counts[q] = cnt
+                for i in self.col[j - 1]:
+                    cnt[i - 1] += 1
+            self.counts.append(cnt)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Current placement as per-station 1-based content tuples."""
-        return tuple(self.cand_ids[c] for c in self.col)
+        return self._key
 
     # -- rates -------------------------------------------------------------
 
@@ -155,65 +177,44 @@ class FastCore:
 
     # -- Gibbs update ------------------------------------------------------
 
-    def candidate_energies(self, j0: int, now: float = 0.0) -> list[float]:
-        """Local energy of every candidate column for station ``j0`` (0-based)."""
-        table = 0 if self.est_scope == "shared" else j0
-        cur = self.cands[self.col[j0]]
-        per_seg = []
-        for q in self.segs_of_bs[j0]:
-            base = self.counts[q][:]
-            for i in cur:
-                base[i] -= 1
-            w = self.seg_rates(q, table, now)
-            hit = 0.0
-            for i in range(self.m):
-                if base[i] > 0:
-                    hit += w[i]
-            per_seg.append((base, w, hit))
-        energies = []
-        for c in self.cands:
-            e = 0.0
-            for base, w, hit in per_seg:
-                e += hit
-                for i in c:
-                    if base[i] == 0:
-                        e += w[i]
-            energies.append(e)
-        return energies
-
-    def cond_probs(self, j0: int, beta: float, now: float = 0.0) -> list[float]:
-        """Conditional probabilities over candidate columns for station ``j0``."""
-        energies = self.candidate_energies(j0, now)
-        top = max(energies)
-        weights = [math.exp(beta * (e - top)) for e in energies]
-        total = sum(weights)
-        return [w / total for w in weights]
-
-    def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> int:
-        """Resample column of station ``j0`` by inverse CDF at uniform ``u``.
-
-        Returns the chosen candidate index and updates incremental counts.
+    def energy_split(self, j0: int, now: float = 0.0) -> tuple[float, list[float]]:
+        """Local energy of station ``j0`` (0-based) with column c as ``H +
+        sum(g[i - 1] for i in c)``: ``g[i]`` is the rate content ``i``
+        (0-based) adds where no other station stores it, ``H`` the rest.
         """
-        energies = self.candidate_energies(j0, now)
-        top = max(energies)
-        weights = [math.exp(beta * (e - top)) for e in energies]
-        target = u * sum(weights)
-        acc = 0.0
-        chosen = len(weights) - 1
-        for idx, w in enumerate(weights):
-            acc += w
-            if target < acc:
-                chosen = idx
-                break
+        table = 0 if self.est_scope == "shared" else j0
+        m = self.m
+        own = [0] * m
+        for i in self.col[j0]:
+            own[i - 1] = 1
+        hit = 0.0
+        g = [0.0] * m
+        for q in self.segs_of_bs[j0]:
+            w = self.seg_rates(q, table, now)
+            cnt = self.counts[q]
+            for i in range(m):
+                if cnt[i] > own[i]:
+                    hit += w[i]
+                else:
+                    g[i] += w[i]
+        return hit, g
+
+    def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
+        """Resample the column of station ``j0`` by inverse CDF at uniform
+        ``u`` over the lexicographic K-subsets; returns the new column.
+        """
+        _, g = self.energy_split(j0, now)
+        new = _lex_sample([beta * x for x in g], self.k, u)
         old = self.col[j0]
-        if chosen != old:
-            old_c = self.cands[old]
-            new_c = self.cands[chosen]
+        if new != old:
+            # Placement keys that callers keep share one tuple per column.
+            new = self._interned.setdefault(new, new)
             for q in self.segs_of_bs[j0]:
                 cnt = self.counts[q]
-                for i in old_c:
-                    cnt[i] -= 1
-                for i in new_c:
-                    cnt[i] += 1
-            self.col[j0] = chosen
-        return chosen
+                for i in old:
+                    cnt[i - 1] -= 1
+                for i in new:
+                    cnt[i - 1] += 1
+            self.col[j0] = new
+            self._key = tuple(self.col)
+        return self.col[j0]

@@ -3,9 +3,9 @@ schedule, exact stationary distribution, and small-instance diagnostics.
 
 The single-site update resamples one station's cache column from the
 conditional distribution whose exponent is the local (neighbor- and
-segment-restricted) hit rate; candidate columns are enumerated in
-lexicographic order over K-subsets of the catalog and sampled by inverse
-CDF, which makes trajectories reproducible for a fixed seed.
+segment-restricted) hit rate, by inverse CDF over the lexicographic K-subsets
+of the catalog.  Enumerating them here is the readable reference and test
+oracle; ``engine.FastCore`` samples the same law without enumeration.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import CapacityError
 from .geometry import CellTopology, Subset
 from .model import ContentCatalog, Placement, hit_rate, local_energy
 
-# Exact computations are gated so tests stay desk-scale; large instances can
-# still run the sampler itself.
+# Exact computations are gated so tests stay desk-scale; the sampler itself
+# has no catalog-size limit.
 COND_ENUM_LIMIT = 100_000  # candidate columns per conditional step
 STATE_ENUM_LIMIT = 1_000_000  # full configuration space
 
@@ -35,7 +35,6 @@ class GibbsParams:
     mode: Literal["fixed", "annealed"] = "fixed"
     beta: float = 1.0
     beta0: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("fixed", "annealed"):

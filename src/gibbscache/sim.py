@@ -319,7 +319,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 if slots is not None:
                     slots.append((slot_idx, j0 + 1, beta, v_key))
                 slot_idx += 1
-                next_slot += spacing
+                next_slot = (slot_idx + 1) * spacing
                 continue
             break
         if t_arr >= horizon:

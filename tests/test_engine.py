@@ -8,14 +8,28 @@ import pytest
 
 import gibbscache as gc
 from gibbscache.engine import FastCore
+from gibbscache.gibbs import candidate_columns
 from gibbscache.traffic import RateEstimates, estimated_local_energy
 from conftest import random_instance
 
 
 def _random_key(rng, core):
-    return tuple(
-        core.cand_ids[rng.randrange(len(core.cand_ids))] for _ in range(core.n_bs)
-    )
+    cands = candidate_columns(core.m, core.k)
+    return tuple(cands[rng.randrange(len(cands))] for _ in range(core.n_bs))
+
+
+def _split_energy(split, column):
+    hit, g = split
+    return hit + sum(g[i - 1] for i in column)
+
+
+def _inverse_cdf(cands, probs, u):
+    acc = 0.0
+    for c, p in zip(cands, probs):
+        acc += p
+        if u < acc:
+            return c
+    return cands[-1]
 
 
 class TestExactAgreement:
@@ -28,10 +42,10 @@ class TestExactAgreement:
             core.set_columns(key)
             B = gc.Placement.from_columns(cat.m_contents, key, k)
             for j0 in range(top.n_bs):
-                fast = core.candidate_energies(j0)
-                for idx, c in enumerate(core.cand_ids):
+                split = core.energy_split(j0)
+                for c in candidate_columns(cat.m_contents, k):
                     ref = gc.local_energy(top, cat, B.with_column(j0 + 1, c), j0 + 1)
-                    assert fast[idx] == pytest.approx(ref, abs=1e-12)
+                    assert _split_energy(split, c) == pytest.approx(ref, abs=1e-12)
 
     def test_cond_probs_match_reference(self):
         rng = random.Random(52)
@@ -43,11 +57,12 @@ class TestExactAgreement:
             B = gc.Placement.from_columns(cat.m_contents, key, k)
             beta = rng.uniform(0, 20)
             for j0 in range(top.n_bs):
-                fast = core.cond_probs(j0, beta)
+                split = core.energy_split(j0)
                 cands, ref = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
-                assert cands == core.cand_ids
-                for a, b in zip(fast, ref):
-                    assert a == pytest.approx(b, abs=1e-12)
+                exponents = [beta * _split_energy(split, c) for c in cands]
+                weights = [math.exp(x - max(exponents)) for x in exponents]
+                for w, b in zip(weights, ref):
+                    assert w / sum(weights) == pytest.approx(b, abs=1e-12)
 
     def test_step_matches_inverse_cdf(self):
         rng = random.Random(53)
@@ -61,16 +76,25 @@ class TestExactAgreement:
             beta = rng.uniform(0, 10)
             u = rng.random()
             cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
-            acc = 0.0
-            expect = cands[-1]
-            for c, p in zip(cands, probs):
-                acc += p
-                if u < acc:
-                    expect = c
-                    break
-            chosen = core.step(j0, beta, u)
-            assert core.cand_ids[chosen] == expect
+            expect = _inverse_cdf(cands, probs, u)
+            assert core.step(j0, beta, u) == expect
             assert core.columns() == key[:j0] + (expect,) + key[j0 + 1:]
+
+    def test_step_matches_inverse_cdf_widely(self):
+        # From uniform (beta = 0) to greedy (beta = 1e4) the log-space
+        # sampler raises no arithmetic error and picks the reference column.
+        rng = random.Random(58)
+        for _ in range(100):
+            top, cat, k = random_instance(rng, max_m=10, max_k=4)
+            core = FastCore(top, cat, k)
+            core.set_columns(_random_key(rng, core))
+            for _ in range(10):
+                j0 = rng.randrange(top.n_bs)
+                beta = rng.choice((0.0, rng.uniform(0, 30), 500.0, 1e4))
+                u = rng.random()
+                B = gc.Placement.from_columns(cat.m_contents, core.columns(), k)
+                cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
+                assert core.step(j0, beta, u) == _inverse_cdf(cands, probs, u)
 
     def test_incremental_counts_stay_consistent(self):
         rng = random.Random(54)
@@ -119,12 +143,12 @@ class TestEstimateMode:
             core.set_columns(cols)
             B = gc.Placement.from_columns(2, cols, 1)
             for j0 in range(2):
-                fast = core.candidate_energies(j0, now=tau)
-                for idx, c in enumerate(core.cand_ids):
+                split = core.energy_split(j0, now=tau)
+                for c in candidate_columns(2, 1):
                     expect = estimated_local_energy(
                         line2_topology, ref, B.with_column(j0 + 1, c), j0 + 1
                     )
-                    assert fast[idx] == pytest.approx(expect, abs=1e-12)
+                    assert _split_energy(split, c) == pytest.approx(expect, abs=1e-12)
 
     def test_local_scope_scaling(self, line2_topology, line2_catalog):
         eta = 0.25
@@ -157,6 +181,12 @@ class TestValidation:
             core.set_columns([(1, 2), (1,)])
         with pytest.raises(ValueError):
             core.set_columns([(1,)])
+        with pytest.raises(ValueError):
+            core.set_columns([(3,), (1,)])
+        with pytest.raises(ValueError):
+            FastCore(line2_topology, line2_catalog, 2).set_columns([(1, 1), (1, 2)])
+        # A rejected placement leaves the state as it was.
+        assert core.columns() == ((1,), (1,))
 
     def test_bad_modes(self, line2_topology, line2_catalog):
         with pytest.raises(ValueError):

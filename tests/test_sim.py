@@ -181,6 +181,32 @@ class TestRunAccounting:
             rebuilt = sum(trace.hit_rates[key] * dt for key, dt in occ.items())
             assert trace.h_integral[w] == pytest.approx(rebuilt, rel=1e-9)
 
+    def test_slot_clock_does_not_drift(self, line2_config):
+        # Summing 0.1 ten thousand times passes 1000 before the last update;
+        # update k must fire at exactly (k + 1) * spacing.
+        cfg = _cfg(line2_config, horizon=1000.0, slot_spacing=0.1)
+        trace = gc.run(cfg, seed=3)
+        assert trace.n_slots == 10_000
+        assert sum(sum(c.values()) for c in trace.v_counts) == 10_000
+
+    def test_large_catalog_runs(self):
+        # C(1000, 10) candidate columns: far beyond any enumeration.
+        cfg = gc.build_config(
+            {
+                "topology": {"intervals": [[0, 6], [1, 10], [8, 14]]},
+                "catalog": {"intensities": [0.01 / (i + 1) for i in range(1000)]},
+                "cache": {"capacity": 10},
+                "gibbs": {"mode": "fixed", "beta": 5.0},
+                "sim": {"horizon": 40.0},
+            }
+        )
+        trace = gc.run(cfg, seed=1)
+        assert trace.n_slots == 40
+        assert sum(sum(c.values()) for c in trace.v_counts) == trace.n_slots
+        total = math.fsum(v for w in trace.real_occ for v in w.values())
+        assert total == pytest.approx(trace.horizon, rel=1e-9)
+        assert all(len(col) == 10 for col in trace.final_virtual)
+
     def test_virtual_counts_match_slots(self, short_trace):
         assert sum(sum(c.values()) for c in short_trace.v_counts) == short_trace.n_slots
         assert len(short_trace.slots) == short_trace.n_slots
