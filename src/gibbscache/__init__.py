@@ -21,6 +21,7 @@ from .model import (
     Placement,
     hit_rate,
     local_energy,
+    mask_hit_rate,
     node_hit_rate,
     segment_node_hit_rate,
 )
@@ -31,7 +32,7 @@ from .oracle import (
     most_popular_placement,
     optimize_two_content_mixture,
 )
-from .realcache import RealState, SnapshotSchedule, kappa_zeta, on_request, refresh_snapshot
+from .realcache import RealState, SnapshotSchedule, on_request, refresh_snapshot
 from .sim import (
     SimTrace,
     average_distributions,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -180,13 +181,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
     entries = []
     for beta in betas:
         exact = gibbs.expected_hit_rate(cfg.topology, cfg.catalog, cfg.cache_size, beta)
-        fixed_cfg = ExperimentConfig(
-            **{
-                **cfg.__dict__,
-                "gibbs": GibbsParams(mode="fixed", beta=beta),
-                "horizon": args.horizon or cfg.horizon,
-            }
-        )
+        fixed_cfg = dataclasses.replace(cfg, gibbs=GibbsParams(mode="fixed", beta=beta))
         sim_rates = [
             sim.run(fixed_cfg, args.seed + r).time_average_hit_rate(0.5, 1.0)
             for r in range(args.replications)
@@ -217,6 +212,10 @@ def cmd_reproduce_fig2(cfg: ExperimentConfig, args) -> None:
     _emit(payload, ["beta", "gibbs", "independent", "most_popular"], rows, args)
 
 
+# Subcommands that simulate, and so take --seed, --replications and --horizon.
+RUN_COMMANDS = ("simulate", "sweep-beta")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbscache",
@@ -231,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--replications", type=int, default=1)
-        p.add_argument("--horizon", type=float, default=None)
+        if name in RUN_COMMANDS:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--replications", type=int, default=1)
+            p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--out-dir", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         if name in ("sweep-beta", "reproduce-fig2"):
@@ -246,10 +246,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.seed is None:
-            args.seed = cfg.seed
-        if args.horizon:
-            cfg = ExperimentConfig(**{**cfg.__dict__, "horizon": args.horizon})
+        if args.command in RUN_COMMANDS:
+            if args.seed is None:
+                args.seed = cfg.seed
+            if args.horizon:
+                cfg = dataclasses.replace(cfg, horizon=args.horizon)
         args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -82,10 +82,7 @@ class FastCore:
         self.n_bs = top.n_bs
         self.m = cat.m_contents
         self.k = cache_size
-        # Deterministic segment order: by (size, members).
-        self.segments = sorted(
-            top.segment_areas.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-        )
+        self.segments = list(top.segment_areas.items())  # in the canonical order
         self.seg_areas = [a for _, a in self.segments]
         self.seg_bs = [sorted(s) for s, _ in self.segments]  # 1-based ids
         self.segs_of_bs: list[list[int]] = [[] for _ in range(self.n_bs)]

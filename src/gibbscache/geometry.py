@@ -26,7 +26,9 @@ class CellTopology:
 
     ``segment_areas`` maps each non-empty subset of station ids (1-based)
     to the area covered by exactly those stations.  Zero-area segments are
-    never stored.  Instances are immutable and safe to share.
+    never stored, and segments are kept in the one canonical order, by
+    (size, sorted members), that every sum and every segment draw follows.
+    Instances are immutable and safe to share.
     """
 
     n_bs: int
@@ -37,20 +39,25 @@ class CellTopology:
         if self.n_bs < 1:
             raise ValueError("need at least one base station")
         cleaned: dict[Subset, float] = {}
+        order: dict[Subset, tuple[int, list[int]]] = {}
         for subset, area in self.segment_areas.items():
             key = frozenset(subset)
-            if not key:
+            members = sorted(key)
+            if not members:
                 raise ValueError("segment subsets must be non-empty")
-            if min(key) < 1 or max(key) > self.n_bs:
+            if members[0] < 1 or members[-1] > self.n_bs:
                 raise ValueError(
-                    f"segment {sorted(key)} references a base station outside 1..{self.n_bs}"
+                    f"segment {members} references a base station outside 1..{self.n_bs}"
                 )
             if not math.isfinite(area) or area < 0:
-                raise ValueError(f"segment {sorted(key)} has invalid area {area}")
+                raise ValueError(f"segment {members} has invalid area {area}")
             if area > 0:
                 cleaned[key] = cleaned.get(key, 0.0) + float(area)
+                order[key] = (len(members), members)
         if len(cleaned) > MAX_SEGMENTS:
             raise ValueError(f"more than {MAX_SEGMENTS} positive-area segments")
+        # The canonical order: by size, then by sorted members.
+        cleaned = {key: cleaned[key] for key in sorted(order, key=order.__getitem__)}
         object.__setattr__(self, "segment_areas", cleaned)
         object.__setattr__(self, "total_area", math.fsum(cleaned.values()))
 
@@ -149,10 +156,3 @@ def from_discs(
     areas = {s: n * cell_area for s, n in counts.items()}
     return CellTopology(len(centers), areas)
 
-
-def neighbors(top: CellTopology, j: int) -> set[int]:
-    return top.neighbors(j)
-
-
-def segments_containing(top: CellTopology, j: int) -> list[tuple[Subset, float]]:
-    return top.segments_containing(j)

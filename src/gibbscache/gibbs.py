@@ -195,10 +195,11 @@ def placement_from_key(key: StateKey, m_contents: int, cache_size: int) -> Place
     return Placement.from_columns(m_contents, key, cache_size)
 
 
-def stationary_distribution(
+def _gibbs_law(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
-) -> dict[StateKey, float]:
-    """Exact Gibbs distribution exp(beta * h(B)) / Z by full enumeration."""
+) -> tuple[list[StateKey], list[float], list[float]]:
+    """Every feasible state, its hit rate and its probability under
+    exp(beta * h(B)) / Z, each hit rate evaluated once."""
     states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
     rates = np.array(
         [
@@ -209,18 +210,23 @@ def stationary_distribution(
     exponents = beta * rates
     weights = np.exp(exponents - exponents.max())
     probs = weights / weights.sum()
-    return dict(zip(states, probs.tolist()))
+    return states, rates.tolist(), probs.tolist()
+
+
+def stationary_distribution(
+    top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
+) -> dict[StateKey, float]:
+    """Exact Gibbs distribution exp(beta * h(B)) / Z by full enumeration."""
+    states, _, probs = _gibbs_law(top, cat, cache_size, beta)
+    return dict(zip(states, probs))
 
 
 def expected_hit_rate(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> float:
     """Expected network hit rate under the exact Gibbs distribution."""
-    dist = stationary_distribution(top, cat, cache_size, beta)
-    return sum(
-        p * hit_rate(top, cat, placement_from_key(k, cat.m_contents, cache_size))
-        for k, p in dist.items()
-    )
+    _, rates, probs = _gibbs_law(top, cat, cache_size, beta)
+    return sum(p * h for p, h in zip(probs, rates))
 
 
 def transition_matrix(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -159,6 +159,34 @@ def hit_rate(top: CellTopology, cat: ContentCatalog, B: Placement) -> float:
         seg_rate = sum(lam[i] for i in range(len(lam)) if stored[i])
         total += area * seg_rate
     return total
+
+
+def mask_hit_rate(top: CellTopology, cat: ContentCatalog) -> Callable[[Sequence[int]], float]:
+    """Hit rate as a function of per-station content bitmasks.
+
+    ``h(masks)`` takes one int per station, bit ``i - 1`` set iff content
+    ``i`` is stored; columns may be under-full.  It adds the same terms in
+    the same order as :func:`hit_rate`, so the two agree exactly.  Rates of
+    segment unions are memoized inside ``h``.
+    """
+    lam = cat.intensities
+    m = len(lam)
+    segments = [([j - 1 for j in s], area) for s, area in top.segment_areas.items()]
+    rate_of_mask: dict[int, float] = {}
+
+    def h(masks: Sequence[int]) -> float:
+        total = 0.0
+        for cols, area in segments:
+            union = 0
+            for j in cols:
+                union |= masks[j]
+            rate = rate_of_mask.get(union)
+            if rate is None:
+                rate = rate_of_mask[union] = sum(lam[i] for i in range(m) if union >> i & 1)
+            total += area * rate
+        return total
+
+    return h
 
 
 def node_hit_rate(top: CellTopology, cat: ContentCatalog, B: Placement, j: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError
 from .geometry import CellTopology
 from .gibbs import STATE_ENUM_LIMIT, StateKey, candidate_columns
-from .model import ContentCatalog, Placement
+from .model import ContentCatalog, Placement, mask_hit_rate
 from .realcache import most_popular_columns
 
 
@@ -52,36 +52,19 @@ def enumerate_optimal(
         raise CapacityError(
             f"{n_states} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
         )
-    # Bitmask per candidate column and per-mask segment rates make each
-    # configuration an O(#segments) evaluation.
     masks = [sum(1 << (i - 1) for i in c) for c in cands]
-    segments = sorted(top.segment_areas.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    lam = cat.intensities
-    rate_of_mask: dict[int, float] = {}
-
-    def mask_rate(mask: int) -> float:
-        r = rate_of_mask.get(mask)
-        if r is None:
-            r = sum(lam[i] for i in range(len(lam)) if mask >> i & 1)
-            rate_of_mask[mask] = r
-        return r
-
-    seg_cols = [([j - 1 for j in s], area) for s, area in segments]
+    column_of = dict(zip(masks, cands))
+    h_of = mask_hit_rate(top, cat)
     best: list[StateKey] = []
     h_max = -math.inf
     h_min = math.inf
-    for cols in itertools.product(range(len(cands)), repeat=top.n_bs):
-        h = 0.0
-        for bs_idx, area in seg_cols:
-            union = 0
-            for j in bs_idx:
-                union |= masks[cols[j]]
-            h += area * mask_rate(union)
+    for config in itertools.product(masks, repeat=top.n_bs):
+        h = h_of(config)
         if h > h_max + 1e-15:
             h_max = h
-            best = [tuple(cands[c] for c in cols)]
+            best = [tuple(column_of[x] for x in config)]
         elif abs(h - h_max) <= 1e-15:
-            best.append(tuple(cands[c] for c in cols))
+            best.append(tuple(column_of[x] for x in config))
         if h < h_min:
             h_min = h
     return OptimalityReport(tuple(best), h_max, h_min)

@@ -62,10 +62,6 @@ class SnapshotSchedule:
         return l, self.boundary(l)
 
 
-def kappa_zeta(sched: SnapshotSchedule, tau: float) -> tuple[int, float]:
-    return sched.kappa_zeta(tau)
-
-
 @dataclass(frozen=True)
 class RealState:
     """Serving caches, their reference virtual snapshot, and current time.

@@ -18,13 +18,14 @@ import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .engine import FastCore
 from .gibbs import GibbsParams, StateKey
-from .model import ContentCatalog
+from .model import ContentCatalog, mask_hit_rate
 from .geometry import CellTopology
 from .realcache import most_popular_columns
 
@@ -212,42 +213,18 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     local_scope = config.estimator.scope == "local"
     eta = config.eta
 
-    # Arrival marks: cumulative popularity and segment-area tables.
-    cum_lam = []
-    acc = 0.0
-    for x in lam:
-        acc += x
-        cum_lam.append(acc)
-    total_lam = acc
-    cum_area = []
-    acc = 0.0
-    for a in core.seg_areas:
-        acc += a
-        cum_area.append(acc)
-    total_area = acc
+    # Arrival marks: running sums of popularity and segment area, as in
+    # traffic.next_request.
+    cum_lam = list(accumulate(lam))
+    total_lam = cum_lam[-1]
+    cum_area = list(accumulate(core.seg_areas))
+    total_area = cum_area[-1]
     total_rate = total_lam * total_area
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
-
-    # Hit rate of an arbitrary (possibly under-full) real configuration,
-    # via per-column content bitmasks and memoized per-mask rates.
-    mask_rate: dict[int, float] = {0: 0.0}
-
-    def rate_of(mask: int) -> float:
-        r = mask_rate.get(mask)
-        if r is None:
-            r = sum(lam[i] for i in range(m) if mask >> i & 1)
-            mask_rate[mask] = r
-        return r
-
-    def real_h(masks: list[int]) -> float:
-        h = 0.0
-        for q in range(n_seg):
-            union = 0
-            for j in seg_bs[q]:
-                union |= masks[j - 1]
-            h += core.seg_areas[q] * rate_of(union)
-        return h
+    # Hit rate of a (possibly under-full) real configuration from its
+    # per-station content bitmasks.
+    real_h = mask_hit_rate(top, cat)
 
     # Initial placements: K most popular contents everywhere.
     init_col = most_popular_columns(lam, config.cache_size)

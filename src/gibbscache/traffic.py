@@ -10,7 +10,9 @@ materialized; every downstream formula consumes segment identity only.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .geometry import CellTopology, Subset
 from .model import ContentCatalog, Placement
@@ -25,42 +27,25 @@ class RequestEvent:
     segment: Subset
 
 
-def _sorted_segments(top: CellTopology) -> list[tuple[Subset, float]]:
-    return sorted(top.segment_areas.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-
 def next_request(
     rng: random.Random, top: CellTopology, cat: ContentCatalog, tau_now: float
 ) -> RequestEvent:
     """Draw the next request after ``tau_now``.
 
-    Inter-arrival ~ Exp(total_intensity * total_area); content by popularity;
-    segment by area share.
+    Inter-arrival ~ Exp(total intensity * total area); content by popularity;
+    segment by area share, in the topology's segment order.  Totals are the
+    last entries of the running sums that the marks are drawn from.
     """
-    total_rate = cat.total_intensity * top.total_area
-    if total_rate <= 0:
+    if not top.segment_areas:
         raise ValueError("total request rate must be positive")
-    tau = tau_now + rng.expovariate(total_rate)
-
-    u = rng.random() * cat.total_intensity
-    acc = 0.0
-    content = cat.m_contents
-    for i, lam in enumerate(cat.intensities, start=1):
-        acc += lam
-        if u < acc:
-            content = i
-            break
-
-    v = rng.random() * top.total_area
-    acc = 0.0
-    segments = _sorted_segments(top)
-    segment = segments[-1][0]
-    for s, area in segments:
-        acc += area
-        if v < acc:
-            segment = s
-            break
-    return RequestEvent(tau, content, segment)
+    cum_lam = list(accumulate(cat.intensities))
+    cum_area = list(accumulate(top.segment_areas.values()))
+    tau = tau_now + rng.expovariate(cum_lam[-1] * cum_area[-1])
+    i0 = bisect_right(cum_lam, rng.random() * cum_lam[-1])
+    q = bisect_right(cum_area, rng.random() * cum_area[-1])
+    segments = list(top.segment_areas)
+    content = min(i0, cat.m_contents - 1) + 1
+    return RequestEvent(tau, content, segments[min(q, len(segments) - 1)])
 
 
 def assign_server(
@@ -70,7 +55,7 @@ def assign_server(
 
     Uniform over covering stations holding the content; uniform over all
     covering stations when none holds it, or with exploration probability
-    ``eta``.
+    ``eta``.  A pool of one station is taken without a draw.
     """
     if not (0 <= eta < 1):
         raise ValueError("eta must be in [0, 1)")
@@ -78,7 +63,7 @@ def assign_server(
     explore = eta > 0 and rng.random() < eta
     holders = [j for j in covering if R.matrix[req.content - 1, j - 1]]
     pool = covering if explore or not holders else holders
-    return pool[rng.randrange(len(pool))]
+    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
 
 
 @dataclass

@@ -139,6 +139,15 @@ class TestSweeps:
         assert len(lines) == 3
 
 
+class TestFlags:
+    def test_run_flags_only_on_simulating_commands(self, capsys):
+        for command in ("optimal", "reproduce-fig2"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", REF_CONFIG, "--replications", "3"])
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -38,6 +38,13 @@ class TestFromSegments:
         with pytest.raises(ValueError):
             gc.from_segments(1, {(): 1.0})
 
+    def test_segments_in_canonical_order(self):
+        areas = {(2, 3): 1.0, (3,): 2.0, (1, 2, 3): 0.5, (1,): 1.5, (1, 3): 0.3, (2,): 0.7}
+        top = gc.from_segments(3, areas)
+        assert [sorted(s) for s in top.segment_areas] == [
+            [1], [2], [3], [1, 3], [2, 3], [1, 2, 3]
+        ]
+
     def test_zero_area_segments_dropped(self):
         top = gc.from_segments(2, {(1,): 1.0, (1, 2): 0.0})
         assert frozenset({1, 2}) not in top.segment_areas

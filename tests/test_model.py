@@ -136,6 +136,18 @@ class TestHitRate:
                 )
                 assert direct == pytest.approx(by_seg, abs=1e-12)
 
+    def test_bitmask_rule_equals_hit_rate(self):
+        # Same terms in the same order: exact equality, full or under-full
+        # columns alike.
+        rng = random.Random(606)
+        for _ in range(2000):
+            top, cat, k = random_instance(rng, max_n=4, max_m=6, max_k=3)
+            m = cat.m_contents
+            cols = [rng.sample(range(1, m + 1), rng.randint(0, k)) for _ in range(top.n_bs)]
+            B = gc.Placement.from_columns(m, cols, k, strict=False)
+            masks = [sum(1 << (i - 1) for i in col) for col in cols]
+            assert gc.mask_hit_rate(top, cat)(masks) == gc.hit_rate(top, cat, B)
+
     def test_hit_rate_below_total_traffic(self):
         rng = random.Random(303)
         for _ in range(30):

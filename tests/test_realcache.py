@@ -32,7 +32,6 @@ class TestSnapshotSchedule:
         assert sched.kappa_zeta(10.0) == (1, 10.0)  # boundary counts
         assert sched.kappa_zeta(45.0) == (2, 30.0)
         assert sched.kappa_zeta(100.0) == (4, 100.0)
-        assert gc.kappa_zeta(sched, 45.0) == (2, 30.0)
 
     def test_epochs_lengthen(self):
         for sched in (

@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import itertools
 import math
 import random
 
@@ -7,6 +9,7 @@ import pytest
 
 import gibbscache as gc
 from gibbscache.gibbs import GibbsParams, transition_matrix
+from gibbscache.realcache import most_popular_columns
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
 from exact_chain import ExactChain
 
@@ -141,12 +144,124 @@ class TestExactChain:
         assert counts.sum(axis=1) == pytest.approx(np.bincount(windows), rel=1e-12)
 
 
+class _MarkStreams:
+    """A run's arrival and mark substreams behind ``next_request``'s one
+    ``rng``: the inter-arrival time from ``arrivals``, then the content mark
+    from ``content-mark`` and the segment mark from ``segment-mark``."""
+
+    def __init__(self, rngs):
+        self.expovariate = rngs["arrivals"].expovariate
+        self._marks = itertools.cycle((rngs["content-mark"].random, rngs["segment-mark"].random))
+
+    def random(self):
+        return next(self._marks)()
+
+
+def _replay(cfg, trace):
+    """Replay a run recorded with ``record_events`` through the request-level
+    API, with the run's own substreams.
+
+    Before each request the real state is offered the virtual configuration
+    the run recorded at the latest snapshot boundary (``refresh_snapshot``);
+    the request is then routed (``assign_server``) and applied
+    (``on_request``).  Returns the events in the trace's format, the real
+    placement each request met, and the final real placement.
+    """
+    rngs = substreams(trace.seed)
+    marks = _MarkStreams(rngs)
+    top, cat, k = cfg.topology, cfg.catalog, cfg.cache_size
+    m = cat.m_contents
+    start = gc.Placement.from_columns(
+        m, [most_popular_columns(cat.intensities, k)] * top.n_bs, k
+    )
+    real = gc.RealState(placement=start, snapshot=start)
+    sched = cfg.make_schedule()
+    snap_times = [t for t, _ in trace.snapshots]
+    events, met = [], []
+    req = gc.next_request(marks, top, cat, 0.0)
+    while req.time < cfg.horizon:
+        l = bisect.bisect_right(snap_times, req.time)
+        virtual = gc.Placement.from_columns(m, trace.snapshots[l - 1][1], k) if l else start
+        real = gc.refresh_snapshot(real, virtual, req.time, sched)
+        j = gc.assign_server(req, real.placement, rngs["server-pick"], cfg.eta)
+        met.append(real.placement)
+        hit, real = gc.on_request(real, real.snapshot, req, j)
+        action = "hit" if hit else "miss" if real.placement == met[-1] else "store"
+        events.append((req.time, req.content, tuple(sorted(req.segment)), j, action))
+        req = gc.next_request(marks, top, cat, req.time)
+    return events, met, real.placement
+
+
+HEX7_CENTERS = [[0.0, 0.0]] + [
+    [1.6 * math.cos(math.pi / 3 * k), 1.6 * math.sin(math.pi / 3 * k)] for k in range(6)
+]
+
+
+def _replay_config(name, line2_config):
+    """About 3,000 requests per run, with events and slots recorded."""
+    if name == "hex7":
+        # Seven unit discs (up to three overlap), M = 8, K = 2.  At grid step
+        # 0.04 the running-sum total rate differs from the fsum one in the
+        # last bit, so the arrival times also pin next_request's totals.
+        return gc.build_config(
+            {
+                "topology": {
+                    "discs": {"centers": HEX7_CENTERS, "radii": [1.0] * 7, "grid_step": 0.04}
+                },
+                "catalog": {"intensities": [10 / i for i in range(1, 9)]},
+                "cache": {"capacity": 2},
+                "gibbs": {"mode": "fixed", "beta": 0.1},
+                "schedule": {"kind": "linear", "t1": 0.5},
+                "traffic": {"eta": 0.01},
+                "sim": {
+                    "horizon": 6.0,
+                    "slot_spacing": 0.01,
+                    "record_events": True,
+                    "record_slots": True,
+                },
+            }
+        )
+    over = {"eta": 0.05, "learning": True} if name == "line2-explore-learn" else {}
+    return _cfg(line2_config, horizon=3000.0, record_events=True, record_slots=True, **over)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["line2", "line2-explore-learn", "hex7"])
+    def test_request_api_reproduces_run(self, name, seed, line2_config):
+        cfg = _replay_config(name, line2_config)
+        trace = gc.run(cfg, seed=seed)
+        # Each snapshot is the virtual configuration after the slots that
+        # fired before its boundary (snapshots go first on ties).
+        init = (most_popular_columns(cfg.catalog.intensities, cfg.cache_size),) * cfg.topology.n_bs
+        slot_times = [(k + 1) * cfg.slot_spacing for k in range(trace.n_slots)]
+        for t, key in trace.snapshots:
+            n = bisect.bisect_left(slot_times, t)
+            assert key == (trace.slots[n - 1][3] if n else init)
+
+        events, _, final_real = _replay(cfg, trace)
+        assert events == trace.events
+        actions = {e[4] for e in events}
+        assert {"hit", "miss", "store"} <= actions
+        hits = [0] * trace.n_windows
+        misses = [0] * trace.n_windows
+        for tau, _, _, _, action in events:
+            w = min(int(tau / trace.window_len), trace.n_windows - 1)
+            (hits if action == "hit" else misses)[w] += 1
+        assert (hits, misses) == (trace.hits, trace.misses)
+        assert final_real.columns() == trace.final_real
+
+
 @pytest.fixture(scope="module")
-def short_trace(line2_config):
-    cfg = dataclasses.replace(
+def short_cfg(line2_config):
+    return dataclasses.replace(
         line2_config, horizon=5000.0, record_events=True, record_slots=True
     )
-    return gc.run(cfg, seed=2)
+
+
+@pytest.fixture(scope="module")
+def short_trace(short_cfg):
+    return gc.run(short_cfg, seed=2)
 
 
 class TestRunAccounting:
@@ -241,10 +356,16 @@ class TestRunAccounting:
             l += 1
         assert [t for t, _ in short_trace.snapshots] == expect
 
-    def test_served_hits_only_from_real_holders(self, short_trace):
-        # A hit event's serving station must be inside the request's segment.
-        for tau, content, segment, j, action in short_trace.events:
+    def test_served_hits_only_from_real_holders(self, short_cfg, short_trace):
+        # At eta = 0 a hit is served by a covering station whose real cache
+        # holds the content, and a miss means no covering station's does.
+        assert short_cfg.eta == 0
+        events, met, _ = _replay(short_cfg, short_trace)
+        assert events == short_trace.events
+        for (_, content, segment, j, action), real in zip(events, met):
+            holders = [s for s in segment if real.matrix[content - 1, s - 1]]
             assert j in segment
+            assert (j in holders) if action == "hit" else not holders
 
     def test_window_range_validation(self, short_trace):
         with pytest.raises(ValueError):

@@ -73,6 +73,16 @@ class TestAssignServer:
         for _ in range(50):
             assert gc.assign_server(req, R, rng) == 1
 
+    def test_single_station_pool_draws_nothing(self):
+        # One holder, or one covering station: the server is forced and the
+        # server-pick stream is left where it was, as in the simulator.
+        R = self._placement()
+        rng = random.Random(12)
+        state = rng.getstate()
+        assert gc.assign_server(RequestEvent(1.0, 1, frozenset({1, 2})), R, rng) == 1
+        assert gc.assign_server(RequestEvent(1.0, 1, frozenset({2})), R, rng) == 2
+        assert rng.getstate() == state
+
     def test_no_holder_uniform_over_covering(self):
         R = gc.Placement.from_columns(3, [(3,), (3,)], 1)
         rng = random.Random(7)
