@@ -92,6 +92,12 @@ def _build_topology(data: dict) -> CellTopology:
 def build_config(data: dict) -> ExperimentConfig:
     """Validate a parsed config dict and assemble the experiment object."""
     top = _build_topology(data)
+    if not top.segment_areas:
+        raise ConfigError(
+            "topology",
+            "no segment has positive area, so no request can ever arrive",
+            "give at least one segment a positive area",
+        )
 
     intensities = _get(data, "catalog.intensities", required=True)
     try:

@@ -30,25 +30,29 @@ def _lex_sample(a: list[float], k: int, u: float) -> tuple[int, ...]:
     exp, log1p = math.exp, math.log1p
     m = len(a)
     L = [[0.0]]  # rows from s = m down: L[m - s][r] = E(s, r)
+    width = 1  # cells in the last row
     for a_s in reversed(a):
         nxt = L[-1]
         row = [0.0]
-        for r in range(1, len(nxt)):
-            x = nxt[r]
-            y = a_s + nxt[r - 1]
+        prev = 0.0  # E(s + 1, r - 1), starting from E(s + 1, 0) = 0
+        for x in nxt[1:]:
+            y = a_s + prev
             row.append(x + log1p(exp(y - x)) if x > y else y + log1p(exp(x - y)))
-        if len(nxt) <= k:
-            row.append(a_s + nxt[-1])
+            prev = x
+        if width <= k:  # E(s, r) for r = m - s is new in this row
+            row.append(a_s + prev)
+            width += 1
         L.append(row)
     chosen = []
+    r = k
     for s in range(m):
-        r = k - len(chosen)
-        if r == 0:
-            break
         # The last r contents are forced; u stays < 1, so a p rounded to 1 is taken.
         p = 1.0 if m - s == r else exp(a[s] + L[m - s - 1][r - 1] - L[m - s][r])
         if u < p:
             chosen.append(s + 1)
+            r -= 1
+            if r == 0:
+                break
             u /= p
         else:
             u = (u - p) / (1.0 - p)
@@ -147,16 +151,6 @@ class FastCore:
 
     # -- rates -------------------------------------------------------------
 
-    def seg_rates(self, q: int, table: int, now: float) -> list[float]:
-        """Per-content arrival rate (true or estimated) from segment ``q``."""
-        if self.rate_source == "exact":
-            return self.true_rates[q]
-        counts = self.est_counts[table][q]
-        scale = self.est_scale[q]
-        inv = 1.0 / (now + self.est_t0)
-        c0 = self.est_c0
-        return [(counts[i] * scale + c0) * inv for i in range(self.m)]
-
     def record_arrival(self, q: int, i0: int, bs0: int | None = None) -> None:
         """Count one request for content ``i0`` (0-based) from segment ``q``.
 
@@ -178,22 +172,29 @@ class FastCore:
         """Local energy of station ``j0`` (0-based) with column c as ``H +
         sum(g[i - 1] for i in c)``: ``g[i]`` is the rate content ``i``
         (0-based) adds where no other station stores it, ``H`` the rest.
+        Rates are exact or estimated as ``(count * scale + c0) / (now + t0)``.
         """
-        table = 0 if self.est_scope == "shared" else j0
         m = self.m
         own = [0] * m
         for i in self.col[j0]:
             own[i - 1] = 1
+        exact = self.rate_source == "exact"
+        est = self.est_counts[0 if self.est_scope == "shared" else j0]
+        inv = 1.0 / (now + self.est_t0)
+        c0 = self.est_c0
         hit = 0.0
         g = [0.0] * m
         for q in self.segs_of_bs[j0]:
-            w = self.seg_rates(q, table, now)
             cnt = self.counts[q]
+            w = self.true_rates[q]
+            n = est[q]
+            scale = self.est_scale[q]
             for i in range(m):
+                x = w[i] if exact else (n[i] * scale + c0) * inv
                 if cnt[i] > own[i]:
-                    hit += w[i]
+                    hit += x
                 else:
-                    g[i] += w[i]
+                    g[i] += x
         return hit, g
 
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:

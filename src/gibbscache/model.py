@@ -53,11 +53,18 @@ class Placement:
     __slots__ = ("matrix", "cache_size")
 
     def __init__(self, matrix, cache_size: int, strict: bool = True):
-        mat = np.asarray(matrix, dtype=np.int8)
+        mat = np.asarray(matrix)
         if mat.ndim != 2:
             raise ValueError("placement matrix must be 2-D")
-        if not np.isin(mat, (0, 1)).all():
+        # Checked before the cast to int8, which would turn 0.9 into 0 and 1.7
+        # into 1.  An int8 matrix needs one pass: -1 reads as 255 unsigned.
+        if mat.dtype == np.int8:
+            binary = (mat.view(np.uint8) <= 1).all()
+        else:
+            binary = ((mat == 0) | (mat == 1)).all()
+        if not binary:
             raise ValueError("placement matrix entries must be 0 or 1")
+        mat = mat.astype(np.int8, copy=False)
         m, _ = mat.shape
         if not (1 <= cache_size < m):
             raise ValueError(f"cache size must satisfy 1 <= K < M, got K={cache_size}, M={m}")

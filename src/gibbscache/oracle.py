@@ -20,6 +20,10 @@ from .gibbs import STATE_ENUM_LIMIT, StateKey, candidate_columns
 from .model import ContentCatalog, Placement, mask_hit_rate
 from .realcache import most_popular_columns
 
+# Hit rates that differ by less than this fraction of the maximum are ties:
+# equal sums taken in different orders differ by a few ulps, at any scale.
+TIE_RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OptimalityReport:
@@ -58,12 +62,14 @@ def enumerate_optimal(
     best: list[StateKey] = []
     h_max = -math.inf
     h_min = math.inf
+    tol = 0.0  # tie tolerance, relative to the running maximum
     for config in itertools.product(masks, repeat=top.n_bs):
         h = h_of(config)
-        if h > h_max + 1e-15:
+        if h > h_max + tol:
             h_max = h
+            tol = TIE_RTOL * abs(h)
             best = [tuple(column_of[x] for x in config)]
-        elif abs(h - h_max) <= 1e-15:
+        elif h >= h_max - tol:
             best.append(tuple(column_of[x] for x in config))
         if h < h_min:
             h_min = h

@@ -10,6 +10,7 @@ re-synchronizing vanishes as epochs lengthen.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,10 +57,10 @@ class SnapshotSchedule:
         """Largest l with S_l <= tau, and that boundary (0 if none)."""
         if tau < 0:
             raise ValueError("tau must be >= 0")
-        l = 0
-        while self.boundary(l + 1) <= tau:
-            l += 1
-        return l, self.boundary(l)
+        while self._prefix[-1] <= tau:
+            self.boundary(len(self._prefix))
+        l = bisect_right(self._prefix, tau) - 1
+        return l, self._prefix[l]
 
 
 @dataclass(frozen=True)

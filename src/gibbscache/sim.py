@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import log
 
 import numpy as np
 
@@ -185,12 +186,13 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     if seed is None:
         seed = config.seed
     rngs = substreams(seed)
-    r_bs = rngs["bs-pick"]
-    r_col = rngs["column-sample"]
-    r_arr = rngs["arrivals"]
-    r_content = rngs["content-mark"]
-    r_segment = rngs["segment-mark"]
-    r_server = rngs["server-pick"]
+    bs_randrange = rngs["bs-pick"].randrange
+    col_random = rngs["column-sample"].random
+    arr_random = rngs["arrivals"].random
+    content_random = rngs["content-mark"].random
+    segment_random = rngs["segment-mark"].random
+    server_random = rngs["server-pick"].random
+    server_randrange = rngs["server-pick"].randrange
 
     core = FastCore(
         top,
@@ -270,10 +272,18 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     next_slot = spacing
     last_change = 0.0
     tau = 0.0
+    # beta_at is constant within each N-slot period.
     beta = gparams.beta_at(0, n_bs)
+    next_period = n_bs
+    # Non-exploring server pool per (segment, content), keyed q * m + i0; a
+    # pool changes only when a real cache does.
+    pools: dict[int, list[int]] = {}
+    step = core.step
+    columns = core.columns
 
     while True:
-        t_arr = tau + r_arr.expovariate(total_rate)
+        # Exponential inter-arrival, drawn as random.expovariate draws it.
+        t_arr = tau - log(1.0 - arr_random()) / total_rate
         limit = t_arr if t_arr < horizon else horizon
         # Fire slot updates and snapshot refreshes up to the next arrival,
         # snapshots first on ties (the reference is V at the boundary minus).
@@ -281,16 +291,18 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             t_snap = next_boundary
             t_slot = next_slot
             if t_snap <= limit and t_snap <= t_slot:
-                snap_sets = [set(c) for c in core.columns()]
-                snapshots.append((t_snap, core.columns()))
+                snap_sets = [set(c) for c in v_key]
+                snapshots.append((t_snap, v_key))
                 next_boundary_idx += 1
                 next_boundary = sched.boundary(next_boundary_idx)
                 continue
             if t_slot <= limit:
-                beta = gparams.beta_at(slot_idx, n_bs)
-                j0 = r_bs.randrange(n_bs)
-                core.step(j0, beta, r_col.random(), t_slot)
-                v_key = core.columns()
+                if slot_idx == next_period:
+                    beta = gparams.beta_at(slot_idx, n_bs)
+                    next_period += n_bs
+                j0 = bs_randrange(n_bs)
+                step(j0, beta, col_random(), t_slot)
+                v_key = columns()
                 w = min(int(t_slot / wlen), n_windows - 1)
                 v_counts[w][v_key] += 1
                 if slots is not None:
@@ -304,11 +316,11 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         tau = t_arr
 
         # Mark the arrival: content and segment identity.
-        u = r_content.random() * total_lam
+        u = content_random() * total_lam
         i0 = bisect.bisect_right(cum_lam, u)
         if i0 >= m:
             i0 = m - 1
-        v = r_segment.random() * total_area
+        v = segment_random() * total_area
         q = bisect.bisect_right(cum_area, v)
         if q >= n_seg:
             q = n_seg - 1
@@ -318,14 +330,15 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
         # Serving-station selection.
         covering = seg_bs[q]
-        explore = eta > 0 and r_server.random() < eta
+        explore = eta > 0 and server_random() < eta
         if explore:
             pool = covering
         else:
-            pool = [j for j in covering if content in real_sets[j - 1]]
-            if not pool:
-                pool = covering
-        j = pool[r_server.randrange(len(pool))] if len(pool) > 1 else pool[0]
+            pool = pools.get(q * m + i0)
+            if pool is None:
+                pool = [j for j in covering if content in real_sets[j - 1]] or covering
+                pools[q * m + i0] = pool
+        j = pool[server_randrange(len(pool))] if len(pool) > 1 else pool[0]
         if learning and local_scope and explore:
             core.record_arrival(q, i0, j - 1)
 
@@ -343,6 +356,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                     add_real_time(last_change, tau, real_key, cur_h)
                     last_change = tau
                     real_sets[j - 1] = new_set
+                    pools.clear()
                     real_masks[j - 1] = sum(1 << (i - 1) for i in new_set)
                     real_key = tuple(tuple(sorted(s)) for s in real_sets)
                     cur_h = hit_memo.get(real_key)

@@ -18,6 +18,8 @@ import conftest
 from conftest import random_instance, random_placement
 from exact_chain import ExactChain
 
+pytestmark = pytest.mark.acceptance
+
 ARGMAX = ((2,), (1,))
 H_MAX = 0.765
 

@@ -89,6 +89,17 @@ class TestBuildConfig:
         cfg = gc.build_config(data)
         assert cfg.eta == 0.05
 
+    def test_topology_without_positive_area(self):
+        # Zero-area segments are dropped, so no request could ever arrive.
+        data = base_data(
+            topology={"segments": {"n_bs": 1, "areas": [{"subset": [1], "area": 0.0}]}},
+            traffic={"eta": 0.01},
+        )
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == "topology"
+        assert exc.value.remedy
+
     def test_eta_range(self):
         with pytest.raises(ConfigError):
             gc.build_config(base_data(traffic={"eta": 1.0}))

@@ -166,6 +166,29 @@ class TestEstimateMode:
         # Station 2's table saw nothing.
         assert core.theta(q, 0, now, table=1) == pytest.approx(1.0 / (now + 1.0))
 
+    def test_local_scope_energy_reads_own_table(self, line2_topology, line2_catalog):
+        core = FastCore(
+            line2_topology, line2_catalog, 1,
+            rate_source="estimate", est_scope="local", eta=0.25,
+        )
+        rng = random.Random(57)
+        for _ in range(200):
+            q = rng.randrange(len(core.seg_bs))
+            core.record_arrival(q, rng.randrange(2), bs0=rng.choice(core.seg_bs[q]) - 1)
+        core.set_columns(((1,), (2,)))
+        q_of = {tuple(s): q for q, s in enumerate(core.seg_bs)}
+        now = 50.0
+        for j0, own, other in ((0, 0, 1), (1, 1, 0)):
+            def theta(s, i):
+                return core.theta(q_of[s], i, now, table=j0)
+
+            alone = (j0 + 1,)
+            hit, g = core.energy_split(j0, now)
+            # Only the other station's content in the shared segment is a hit.
+            assert hit == pytest.approx(theta((1, 2), other), rel=1e-12)
+            assert g[own] == pytest.approx(theta(alone, own) + theta((1, 2), own), rel=1e-12)
+            assert g[other] == pytest.approx(theta(alone, other), rel=1e-12)
+
     def test_local_scope_requires_eta(self, line2_topology, line2_catalog):
         with pytest.raises(ValueError):
             FastCore(

@@ -60,6 +60,26 @@ class TestPlacement:
         with pytest.raises(ValueError):
             gc.Placement([[2, 0], [0, 1]], 1)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.9, 1], [1.7, 0]],  # fractional: the int8 cast would give 0/1
+            [[-1, 1], [1, 0]],
+            np.array([[-1, 1], [1, 0]], dtype=np.int8),
+            np.array([[2, 0], [0, 1]], dtype=np.int8),
+            [[0.0, 1.0], [1.0, 1e-9]],
+        ],
+    )
+    def test_rejects_non_binary_entries(self, matrix):
+        with pytest.raises(ValueError, match="0 or 1"):
+            gc.Placement(matrix, 1, strict=False)
+
+    def test_accepts_binary_float_and_bool(self):
+        for matrix in ([[0.0, 1.0], [1.0, 0.0]], np.array([[False, True], [True, False]])):
+            B = gc.Placement(matrix, 1)
+            assert B.matrix.dtype == np.int8
+            assert B.columns() == ((2,), (1,))
+
     def test_cache_size_bounds(self):
         with pytest.raises(ValueError):
             gc.Placement.from_columns(2, [(1, 2)], 2)  # K must be < M

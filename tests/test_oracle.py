@@ -28,6 +28,18 @@ class TestEnumerateOptimal:
         assert len(report.argmax) == 4
         assert report.delta == pytest.approx(0.0, abs=1e-15)
 
+    def test_ties_do_not_depend_on_scale(self):
+        # The four maximizers' hit rates are equal sums taken in different
+        # orders; they differ by ulps, which an absolute tolerance stops
+        # covering once the rates are large.
+        top = gc.from_intervals([(0.1, 0.6), (0.1 * 3, 0.1 * 6)])
+        argmaxes = []
+        for scale in (1e-3, 1.0, 1e3):
+            cat = gc.ContentCatalog(tuple(scale * x for x in (0.1, 0.7, 0.1)))
+            argmaxes.append(gc.enumerate_optimal(top, cat, 2).argmax)
+        assert len(argmaxes[0]) == 4
+        assert all(a == argmaxes[0] for a in argmaxes)
+
     def test_matches_direct_scan(self):
         # Cross-check the streamed bitmask evaluation against the literal
         # hit-rate function over the full configuration list.

@@ -33,6 +33,25 @@ class TestSnapshotSchedule:
         assert sched.kappa_zeta(45.0) == (2, 30.0)
         assert sched.kappa_zeta(100.0) == (4, 100.0)
 
+    @pytest.mark.parametrize(
+        "sched",
+        [gc.SnapshotSchedule("linear", 10.0), gc.SnapshotSchedule("geometric", 3.0, 1.5)],
+        ids=["linear", "geometric"],
+    )
+    def test_kappa_zeta_matches_linear_walk(self, sched):
+        def walk(tau):
+            l = 0
+            while sched.boundary(l + 1) <= tau:
+                l += 1
+            return l, sched.boundary(l)
+
+        ref = gc.SnapshotSchedule(sched.kind, sched.t1, sched.ratio)
+        edges = [ref.boundary(l) for l in range(12)]
+        taus = edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+        # Far first, then back to the start: the cached prefix must not matter.
+        for tau in sorted(taus, reverse=True) + sorted(taus):
+            assert sched.kappa_zeta(tau) == walk(tau)
+
     def test_epochs_lengthen(self):
         for sched in (
             gc.SnapshotSchedule("linear", 3.0),

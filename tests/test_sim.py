@@ -410,6 +410,29 @@ class TestRunStatistics:
         expect = 1.0 * math.log(1 + (trace.n_slots - 1) // 2)
         assert trace.beta_final == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["annealed-3bs", "fixed-line2"])
+    def test_beta_of_every_slot(self, mode, line2_config):
+        if mode == "annealed-3bs":
+            cfg = gc.build_config(
+                {
+                    "topology": {"intervals": [[0, 6], [1, 10], [8, 15]]},
+                    "catalog": {"intensities": [0.1, 0.05, 0.033]},
+                    "cache": {"capacity": 1},
+                    "gibbs": {"mode": "annealed", "beta0": 0.25},
+                    "traffic": {"eta": 0.01},
+                    "sim": {"horizon": 300.0, "record_slots": True},
+                }
+            )
+        else:
+            cfg = _cfg(line2_config, horizon=300.0, record_slots=True)
+        trace = gc.run(cfg, seed=26)
+        n = cfg.topology.n_bs
+        assert [s[0] for s in trace.slots] == list(range(trace.n_slots))
+        assert [s[2] for s in trace.slots] == [
+            cfg.gibbs.beta_at(k, n) for k in range(trace.n_slots)
+        ]
+        assert trace.beta_final == cfg.gibbs.beta_at(trace.n_slots - 1, n)
+
     def test_learning_run_estimates(self, line2_config):
         gp = GibbsParams(mode="fixed", beta=2.0)
         cfg = dataclasses.replace(
