@@ -57,12 +57,8 @@ class Placement:
         if mat.ndim != 2:
             raise ValueError("placement matrix must be 2-D")
         # Checked before the cast to int8, which would turn 0.9 into 0 and 1.7
-        # into 1.  An int8 matrix needs one pass: -1 reads as 255 unsigned.
-        if mat.dtype == np.int8:
-            binary = (mat.view(np.uint8) <= 1).all()
-        else:
-            binary = ((mat == 0) | (mat == 1)).all()
-        if not binary:
+        # into 1.
+        if not ((mat == 0) | (mat == 1)).all():
             raise ValueError("placement matrix entries must be 0 or 1")
         mat = mat.astype(np.int8, copy=False)
         m, _ = mat.shape

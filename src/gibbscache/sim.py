@@ -272,9 +272,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     next_slot = spacing
     last_change = 0.0
     tau = 0.0
-    # beta_at is constant within each N-slot period.
-    beta = gparams.beta_at(0, n_bs)
-    next_period = n_bs
+    beta_at = gparams.beta_at
+    beta = beta_at(0, n_bs)
     # Non-exploring server pool per (segment, content), keyed q * m + i0; a
     # pool changes only when a real cache does.
     pools: dict[int, list[int]] = {}
@@ -297,9 +296,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 next_boundary = sched.boundary(next_boundary_idx)
                 continue
             if t_slot <= limit:
-                if slot_idx == next_period:
-                    beta = gparams.beta_at(slot_idx, n_bs)
-                    next_period += n_bs
+                beta = beta_at(slot_idx, n_bs)
                 j0 = bs_randrange(n_bs)
                 step(j0, beta, col_random(), t_slot)
                 v_key = columns()
