@@ -36,7 +36,6 @@ from .realcache import RealState, SnapshotSchedule, on_request, refresh_snapshot
 from .sim import (
     SimTrace,
     average_distributions,
-    empirical_distribution,
     run,
     run_chain,
     tv_distance,

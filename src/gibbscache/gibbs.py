@@ -6,6 +6,12 @@ conditional distribution whose exponent is the local (neighbor- and
 segment-restricted) hit rate, by inverse CDF over the lexicographic K-subsets
 of the catalog.  Enumerating them here is the readable reference and test
 oracle; ``engine.FastCore`` samples the same law without enumeration.
+
+The exact tools enumerate every configuration.  They evaluate each state once,
+as per-station content bitmasks through ``model.mask_hit_rate``, which gives
+the same floats as ``model.hit_rate``.  Station j's conditional law does not
+depend on j's own column, so ``transition_matrix`` computes it once per
+(j, columns of the other stations).
 """
 
 from __future__ import annotations
@@ -13,14 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
 from .errors import CapacityError
-from .geometry import CellTopology, Subset
-from .model import ContentCatalog, Placement, hit_rate, local_energy
+from .geometry import CellTopology
+from .model import ContentCatalog, Placement, local_energy, mask_hit_rate
+from .model import hit_rate  # noqa: F401  perfbench's tracer test checks this binding
 
 # Exact computations are gated so tests stay desk-scale; the sampler itself
 # has no catalog-size limit.
@@ -177,18 +184,27 @@ def validate_beta0(
 StateKey = tuple[tuple[int, ...], ...]
 
 
-def enumerate_states(
+def state_masks(
     m_contents: int, n_bs: int, cache_size: int
-) -> list[StateKey]:
-    """All feasible configurations as per-station column tuples, mixed-radix
-    lexicographic order."""
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Candidate columns and their content bitmasks (bit ``i - 1`` set iff
+    content ``i`` is stored), after gating the number of configurations."""
     cands = candidate_columns(m_contents, cache_size)
     n_states = len(cands) ** n_bs
     if n_states > STATE_ENUM_LIMIT:
         raise CapacityError(
             f"{n_states} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
         )
-    return [tuple(cols) for cols in itertools.product(cands, repeat=n_bs)]
+    return cands, [sum(1 << (i - 1) for i in c) for c in cands]
+
+
+def enumerate_states(
+    m_contents: int, n_bs: int, cache_size: int
+) -> list[StateKey]:
+    """All feasible configurations as per-station column tuples, mixed-radix
+    lexicographic order."""
+    cands, _ = state_masks(m_contents, n_bs, cache_size)
+    return list(itertools.product(cands, repeat=n_bs))
 
 
 def placement_from_key(key: StateKey, m_contents: int, cache_size: int) -> Placement:
@@ -199,17 +215,15 @@ def _gibbs_law(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> tuple[list[StateKey], list[float], list[float]]:
     """Every feasible state, its hit rate and its probability under
-    exp(beta * h(B)) / Z, each hit rate evaluated once."""
-    states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
-    rates = np.array(
-        [
-            hit_rate(top, cat, placement_from_key(k, cat.m_contents, cache_size))
-            for k in states
-        ]
-    )
+    exp(beta * h(B)) / Z, in :func:`enumerate_states` order.  Each state is
+    evaluated once, as per-station bitmasks through ``model.mask_hit_rate``."""
+    cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
+    h = mask_hit_rate(top, cat)
+    rates = np.array([h(x) for x in itertools.product(masks, repeat=top.n_bs)])
     exponents = beta * rates
     weights = np.exp(exponents - exponents.max())
     probs = weights / weights.sum()
+    states = list(itertools.product(cands, repeat=top.n_bs))
     return states, rates.tolist(), probs.tolist()
 
 
@@ -235,20 +249,26 @@ def transition_matrix(
     """Exact single-step transition matrix of the uniform-site sampler.
 
     Row order matches :func:`enumerate_states`.  Used by the detailed
-    balance and convergence diagnostics on small instances.
+    balance and convergence diagnostics on small instances.  Station j's
+    conditional law does not depend on j's own column, so it is computed
+    once per (j, columns of the other stations) and reused for the states
+    that differ only in column j.
     """
     states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
     index = {k: i for i, k in enumerate(states)}
     n = top.n_bs
     P = np.zeros((len(states), len(states)))
-    for k in states:
-        row = index[k]
-        B = placement_from_key(k, cat.m_contents, cache_size)
+    laws = {}
+    for row, k in enumerate(states):
         for j in range(1, n + 1):
-            cands, probs = conditional_distribution(top, cat, B, j, beta)
-            for c, p in zip(cands, probs):
-                target = k[:j - 1] + (c,) + k[j:]
-                P[row, index[target]] += p / n
+            before, after = k[:j - 1], k[j:]
+            key = (j, before, after)
+            law = laws.get(key)
+            if law is None:
+                B = placement_from_key(k, cat.m_contents, cache_size)
+                law = laws[key] = conditional_distribution(top, cat, B, j, beta)
+            for c, p in zip(*law):
+                P[row, index[before + (c,) + after]] += p / n
     return states, P
 
 

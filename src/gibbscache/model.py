@@ -8,7 +8,6 @@ These exact sums are the energies driving the Gibbs sampler.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -116,16 +115,6 @@ class Placement:
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Hashable identity used for occupancy/distribution bookkeeping."""
         return self.columns()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"cache_size": self.cache_size, "matrix": self.matrix.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Placement":
-        data = json.loads(text)
-        return cls(data["matrix"], data["cache_size"])
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
 from .geometry import CellTopology
-from .gibbs import STATE_ENUM_LIMIT, StateKey, candidate_columns
+from .gibbs import StateKey, state_masks
 from .model import ContentCatalog, Placement, mask_hit_rate
 from .realcache import most_popular_columns
 
@@ -50,13 +49,7 @@ def enumerate_optimal(
     Ties in the maximum are all returned; uniqueness is reported, never
     assumed.
     """
-    cands = candidate_columns(cat.m_contents, cache_size)
-    n_states = len(cands) ** top.n_bs
-    if n_states > STATE_ENUM_LIMIT:
-        raise CapacityError(
-            f"{n_states} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
-        )
-    masks = [sum(1 << (i - 1) for i in c) for c in cands]
+    cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
     column_of = dict(zip(masks, cands))
     h_of = mask_hit_rate(top, cat)
     best: list[StateKey] = []

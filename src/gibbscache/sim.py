@@ -149,17 +149,6 @@ class SimTrace:
         return sum(self.hits[w] for w in windows) / span
 
 
-def empirical_distribution(trace: SimTrace, burn_in_fraction: float) -> dict[StateKey, float]:
-    """Real-cache occupancy fractions after discarding the burn-in prefix.
-
-    Resolution is the trace's window grid; the burn-in boundary is rounded
-    to the nearest window edge.
-    """
-    if not (0 <= burn_in_fraction < 1):
-        raise ValueError("burn_in_fraction must be in [0, 1)")
-    return trace.real_occupancy(burn_in_fraction, 1.0)
-
-
 def tv_distance(p: dict, q: dict) -> float:
     """Total variation distance (half L1) between two distributions."""
     for name, dist in (("p", p), ("q", q)):

@@ -7,10 +7,12 @@ expectations for both fixed and annealed temperature schedules.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 import gibbscache as gc
-from gibbscache.gibbs import GibbsParams, enumerate_states, placement_from_key
+from gibbscache.gibbs import GibbsParams, enumerate_states, placement_from_key, state_masks
 
 # Periods whose kernels are held at once by ``expected_slot_counts``.
 KERNEL_CHUNK = 1 << 15
@@ -24,12 +26,9 @@ class ExactChain:
         self.states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_bs = top.n_bs
-        self.h = np.array(
-            [
-                gc.hit_rate(top, cat, placement_from_key(s, cat.m_contents, cache_size))
-                for s in self.states
-            ]
-        )
+        _, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
+        h = gc.mask_hit_rate(top, cat)
+        self.h = np.array([h(x) for x in itertools.product(masks, repeat=top.n_bs)])
         # Per station: candidate energies and one-hot target states, so that
         # kernel[s, t] sums the conditional weights of the candidates of s
         # that lead to t.

@@ -108,7 +108,7 @@ def test_criterion_3_fixed_beta_convergence(line2_config):
     occupancies = []
     for seed in range(100, 120):
         trace = gc.run(line2_config, seed=seed)
-        occupancies.append(gc.empirical_distribution(trace, 0.5))
+        occupancies.append(trace.real_occupancy(0.5))
     pooled = gc.average_distributions(occupancies)
     tv = gc.tv_distance(pooled, pi2)
     _check(

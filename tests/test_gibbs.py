@@ -7,11 +7,14 @@ import pytest
 import gibbscache as gc
 from gibbscache.errors import CapacityError
 from gibbscache.gibbs import (
+    _gibbs_law,
     candidate_columns,
     enumerate_states,
     placement_from_key,
     transition_matrix,
 )
+from gibbscache.realcache import most_popular_columns
+from gibbscache.sim import run_chain, substreams
 from conftest import random_instance, random_placement
 
 # Exact Gibbs distribution at beta = 2 on the two-station line instance,
@@ -23,6 +26,12 @@ PI_BETA2 = {
     ((2,), (2,)): 0.170436715774,
 }
 ARGMAX = ((2,), (1,))
+
+
+def three_stations(m_contents):
+    """The 3-station interval instance of the exact-tools benchmark."""
+    top = gc.from_intervals([(0, 6), (1, 10), (8, 15)])
+    return top, gc.ContentCatalog(tuple(0.1 / i for i in range(1, m_contents + 1)))
 
 
 class TestCandidateColumns:
@@ -106,6 +115,27 @@ class TestGibbsStep:
             if nxt.placement.columns()[j] != state.placement.columns()[j]
         ]
         assert len(changed) <= 1
+
+    @pytest.mark.parametrize(
+        "params", [gc.GibbsParams(beta=2.0), gc.GibbsParams(mode="annealed", beta0=1.0)]
+    )
+    def test_follows_run_chain(self, params, line2_topology, line2_catalog):
+        # Both draw one randrange(N) from bs-pick and one random() from
+        # column-sample per slot, so shared streams give the same trajectory.
+        top3, cat3 = three_stations(4)
+        for top, cat, k in ((line2_topology, line2_catalog, 1), (top3, cat3, 2)):
+            n = top.n_bs
+            for seed in (1, 2, 3):
+                slots = range(1, 301)
+                chain, _, _ = run_chain(top, cat, k, params, len(slots), seed, set(slots))
+                rngs = substreams(seed)
+                start = [most_popular_columns(cat.intensities, k)] * n
+                state = gc.VirtualState(gc.Placement.from_columns(cat.m_contents, start, k))
+                for t in slots:
+                    state = gc.gibbs_step(
+                        state, params, top, cat, rngs["bs-pick"], rngs["column-sample"]
+                    )
+                    assert state.placement.key() == chain[t]
 
     def test_greedy_at_large_beta(self, line2_topology, line2_catalog):
         # At beta = 1e4 every conditional is effectively a point mass, so a
@@ -249,7 +279,69 @@ class TestExpectedHitRate:
         )
 
 
+class TestBitmaskLaw:
+    """``_gibbs_law`` evaluates each state as bitmasks; its rates must equal
+    ``model.hit_rate`` of the state's placement exactly."""
+
+    @staticmethod
+    def check(top, cat, k):
+        states, rates, _ = _gibbs_law(top, cat, k, 1.0)
+        assert states == enumerate_states(cat.m_contents, top.n_bs, k)
+        for key, h in zip(states, rates):
+            assert h == gc.hit_rate(top, cat, placement_from_key(key, cat.m_contents, k))
+
+    @staticmethod
+    def random_catalog(rng):
+        m = rng.randint(2, 5)
+        cat = gc.ContentCatalog(tuple(rng.uniform(0.05, 1.0) for _ in range(m)))
+        return cat, rng.randint(1, min(2, m - 1))
+
+    def test_three_stations(self):
+        top, cat = three_stations(6)
+        self.check(top, cat, 2)
+
+    def test_random_intervals(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            starts = [rng.uniform(0, 10) for _ in range(rng.randint(1, 3))]
+            top = gc.from_intervals([(a, a + rng.uniform(0.5, 6)) for a in starts])
+            self.check(top, *self.random_catalog(rng))
+
+    def test_random_discs(self):
+        rng = random.Random(62)
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            centers = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(n)]
+            radii = [rng.uniform(0.5, 1.5) for _ in range(n)]
+            top = gc.from_discs(centers, radii, 0.1)
+            self.check(top, *self.random_catalog(rng))
+
+
+def rowwise_transition_matrix(top, cat, k, beta):
+    """The transition matrix built row by row, one conditional law per
+    (state, station)."""
+    states = enumerate_states(cat.m_contents, top.n_bs, k)
+    index = {key: i for i, key in enumerate(states)}
+    n = top.n_bs
+    P = np.zeros((len(states), len(states)))
+    for row, key in enumerate(states):
+        B = placement_from_key(key, cat.m_contents, k)
+        for j in range(1, n + 1):
+            cands, probs = gc.conditional_distribution(top, cat, B, j, beta)
+            for c, p in zip(cands, probs):
+                P[row, index[key[:j - 1] + (c,) + key[j:]]] += p / n
+    return states, P
+
+
 class TestTransitionMatrix:
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 50.0])
+    def test_equals_rowwise_build(self, beta, line2_topology, line2_catalog):
+        for top, cat, k in ((line2_topology, line2_catalog, 1), (*three_stations(4), 2)):
+            states, P = transition_matrix(top, cat, k, beta)
+            ref_states, ref = rowwise_transition_matrix(top, cat, k, beta)
+            assert states == ref_states
+            assert np.array_equal(P, ref)
+
     def test_rows_are_distributions(self, line2_topology, line2_catalog):
         _, P = transition_matrix(line2_topology, line2_catalog, 1, 2.0)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)

@@ -92,10 +92,6 @@ class TestPlacement:
         assert B2.columns() == ((3,), (2,))
         assert B.columns() == ((1,), (2,))  # original untouched
 
-    def test_json_roundtrip(self):
-        B = gc.Placement.from_columns(3, [(1, 3), (2, 3)], 2)
-        assert gc.Placement.from_json(B.to_json()) == B
-
     def test_eq_hash(self):
         a = gc.Placement.from_columns(3, [(1,), (2,)], 1)
         b = gc.Placement.from_columns(3, [(1,), (2,)], 1)

@@ -373,13 +373,13 @@ class TestRunAccounting:
         with pytest.raises(ValueError):
             short_trace.time_average_hit_rate(1.0, 0.5)
 
-    def test_empirical_distribution_burn_in(self, short_trace):
-        full = gc.empirical_distribution(short_trace, 0.0)
-        tail = gc.empirical_distribution(short_trace, 2 / 3)
+    def test_real_occupancy_burn_in(self, short_trace):
+        full = short_trace.real_occupancy(0.0)
+        tail = short_trace.real_occupancy(2 / 3)
         assert sum(full.values()) == pytest.approx(1.0, abs=1e-12)
         assert sum(tail.values()) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            gc.empirical_distribution(short_trace, 1.0)
+            short_trace.real_occupancy(1.0)
 
 
 class TestRunStatistics:
