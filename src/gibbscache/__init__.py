@@ -11,6 +11,7 @@ from .gibbs import (
     conditional_distribution,
     dobrushin_bound,
     expected_hit_rate,
+    expected_hit_rates,
     gibbs_step,
     stationary_distribution,
     transition_matrix,

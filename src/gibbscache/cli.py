@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -172,15 +173,21 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> None:
 
 
 def _parse_betas(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        betas = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        betas = []
+    if not betas or not all(0 <= b < math.inf for b in betas):
+        raise ConfigError("--betas", f"{text!r} is not a list of finite numbers >= 0", "e.g. 1,2,5")
+    return betas
 
 
 def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
     betas = _parse_betas(args.betas)
     rows = []
     entries = []
-    for beta in betas:
-        exact = gibbs.expected_hit_rate(cfg.topology, cfg.catalog, cfg.cache_size, beta)
+    exacts = gibbs.expected_hit_rates(cfg.topology, cfg.catalog, cfg.cache_size, betas)
+    for beta, exact in zip(betas, exacts):
         fixed_cfg = dataclasses.replace(cfg, gibbs=GibbsParams(mode="fixed", beta=beta))
         sim_rates = [
             sim.run(fixed_cfg, args.seed + r).time_average_hit_rate(0.5, 1.0)
@@ -193,12 +200,12 @@ def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_reproduce_fig2(cfg: ExperimentConfig, args) -> None:
-    base = _baselines(cfg)
     betas = _parse_betas(args.betas)
+    base = _baselines(cfg)
     rows = []
     entries = []
-    for beta in betas:
-        exact = gibbs.expected_hit_rate(cfg.topology, cfg.catalog, cfg.cache_size, beta)
+    exacts = gibbs.expected_hit_rates(cfg.topology, cfg.catalog, cfg.cache_size, betas)
+    for beta, exact in zip(betas, exacts):
         entries.append(
             {
                 "beta": beta,
@@ -249,7 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in RUN_COMMANDS:
             if args.seed is None:
                 args.seed = cfg.seed
-            if args.horizon:
+            if args.replications < 1:
+                raise ConfigError("--replications", "must be >= 1")
+            if args.horizon is not None:
+                if not 0 < args.horizon < math.inf:
+                    raise ConfigError("--horizon", "must be positive and finite")
                 cfg = dataclasses.replace(cfg, horizon=args.horizon)
         args.func(cfg, args)
     except ConfigError as exc:

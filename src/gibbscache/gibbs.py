@@ -7,11 +7,11 @@ segment-restricted) hit rate, by inverse CDF over the lexicographic K-subsets
 of the catalog.  Enumerating them here is the readable reference and test
 oracle; ``engine.FastCore`` samples the same law without enumeration.
 
-The exact tools enumerate every configuration.  They evaluate each state once,
-as per-station content bitmasks through ``model.mask_hit_rate``, which gives
-the same floats as ``model.hit_rate``.  Station j's conditional law does not
-depend on j's own column, so ``transition_matrix`` computes it once per
-(j, columns of the other stations).
+The exact tools enumerate every configuration.  :func:`state_rates` is their
+one scan of hit rates, as per-station content bitmasks through
+``model.mask_hit_rate`` (the same floats as ``model.hit_rate``).  Station j's
+conditional law does not depend on j's own column, so ``transition_matrix``
+computes it once per (j, columns of the other stations).
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -84,21 +85,17 @@ def conditional_distribution(
     V: Placement,
     j: int,
     beta: float,
-    energy: Callable[[Placement, int], float] | None = None,
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Gibbs conditional over the K-subset columns for station ``j``.
 
     Returns the lexicographic candidate list and their probabilities.  The
     maximum exponent is subtracted before exponentiation so large ``beta *
-    energy`` values cannot overflow.  ``energy`` defaults to the exact local
-    energy; the learning variant passes an estimate-driven function.
+    energy`` values cannot overflow.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if energy is None:
-        energy = lambda A, jj: local_energy(top, cat, A, jj)
     cands = candidate_columns(cat.m_contents, V.cache_size)
-    energies = np.array([energy(V.with_column(j, c), j) for c in cands])
+    energies = np.array([local_energy(top, cat, V.with_column(j, c), j) for c in cands])
     exponents = beta * energies
     weights = np.exp(exponents - exponents.max())
     return cands, weights / weights.sum()
@@ -111,7 +108,6 @@ def gibbs_step(
     cat: ContentCatalog,
     bs_rng: random.Random,
     col_rng: random.Random,
-    energy: Callable[[Placement, int], float] | None = None,
 ) -> VirtualState:
     """One update of Algorithm-style single-site sampling.
 
@@ -120,7 +116,7 @@ def gibbs_step(
     """
     j = bs_rng.randrange(top.n_bs) + 1
     beta = params.beta_at(state.t, top.n_bs)
-    cands, probs = conditional_distribution(top, cat, state.placement, j, beta, energy)
+    cands, probs = conditional_distribution(top, cat, state.placement, j, beta)
     u = col_rng.random()
     acc = 0.0
     chosen = cands[-1]
@@ -207,40 +203,48 @@ def enumerate_states(
     return list(itertools.product(cands, repeat=n_bs))
 
 
-def placement_from_key(key: StateKey, m_contents: int, cache_size: int) -> Placement:
-    return Placement.from_columns(m_contents, key, cache_size)
-
-
-def _gibbs_law(
-    top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
-) -> tuple[list[StateKey], list[float], list[float]]:
-    """Every feasible state, its hit rate and its probability under
-    exp(beta * h(B)) / Z, in :func:`enumerate_states` order.  Each state is
-    evaluated once, as per-station bitmasks through ``model.mask_hit_rate``."""
+def state_rates(
+    top: CellTopology, cat: ContentCatalog, cache_size: int
+) -> tuple[list[tuple[int, ...]], array]:
+    """Candidate columns and the hit rate of every state, in the order of
+    ``product(cands, repeat=N)`` (:func:`enumerate_states`), 8 bytes per state."""
     cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
     h = mask_hit_rate(top, cat)
-    rates = np.array([h(x) for x in itertools.product(masks, repeat=top.n_bs)])
-    exponents = beta * rates
+    return cands, array("d", map(h, itertools.product(masks, repeat=top.n_bs)))
+
+
+def _gibbs_weights(rates: array, beta: float) -> list[float]:
+    """exp(beta * h) / Z over ``rates``, the maximum exponent subtracted."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    exponents = beta * np.frombuffer(rates)
     weights = np.exp(exponents - exponents.max())
-    probs = weights / weights.sum()
-    states = list(itertools.product(cands, repeat=top.n_bs))
-    return states, rates.tolist(), probs.tolist()
+    return (weights / weights.sum()).tolist()
 
 
 def stationary_distribution(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> dict[StateKey, float]:
     """Exact Gibbs distribution exp(beta * h(B)) / Z by full enumeration."""
-    states, _, probs = _gibbs_law(top, cat, cache_size, beta)
-    return dict(zip(states, probs))
+    cands, rates = state_rates(top, cat, cache_size)
+    states = itertools.product(cands, repeat=top.n_bs)
+    return dict(zip(states, _gibbs_weights(rates, beta)))
+
+
+def expected_hit_rates(
+    top: CellTopology, cat: ContentCatalog, cache_size: int, betas: Iterable[float]
+) -> list[float]:
+    """Expected network hit rate under the exact Gibbs distribution at each
+    beta, from one scan of the states."""
+    _, rates = state_rates(top, cat, cache_size)
+    return [sum(p * h for p, h in zip(_gibbs_weights(rates, b), rates)) for b in betas]
 
 
 def expected_hit_rate(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> float:
     """Expected network hit rate under the exact Gibbs distribution."""
-    _, rates, probs = _gibbs_law(top, cat, cache_size, beta)
-    return sum(p * h for p, h in zip(probs, rates))
+    return expected_hit_rates(top, cat, cache_size, [beta])[0]
 
 
 def transition_matrix(
@@ -265,7 +269,7 @@ def transition_matrix(
             key = (j, before, after)
             law = laws.get(key)
             if law is None:
-                B = placement_from_key(k, cat.m_contents, cache_size)
+                B = Placement.from_columns(cat.m_contents, k, cache_size)
                 law = laws[key] = conditional_distribution(top, cat, B, j, beta)
             for c, p in zip(*law):
                 P[row, index[before + (c,) + after]] += p / n

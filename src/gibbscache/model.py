@@ -112,10 +112,6 @@ class Placement:
             mat[i - 1, j - 1] = 1
         return Placement(mat, self.cache_size)
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Hashable identity used for occupancy/distribution bookkeeping."""
-        return self.columns()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Placement)

@@ -1,9 +1,8 @@
 """Brute-force ground truth: exhaustive placement optimization and the two
 reference baselines (most-popular and independent randomized placement).
 
-The enumeration exists to verify, not to scale; it streams configurations
-in mixed-radix order over per-station K-subset indices and keeps O(1) state
-beyond the running extremes.
+The enumeration exists to verify, not to scale; it reads the hit rates of
+every configuration from ``gibbs.state_rates``, 8 bytes per state.
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CellTopology
-from .gibbs import StateKey, state_masks
-from .model import ContentCatalog, Placement, mask_hit_rate
+from .gibbs import StateKey, state_rates
+from .model import ContentCatalog, Placement
 from .realcache import most_popular_columns
 
-# Hit rates that differ by less than this fraction of the maximum are ties:
+# Hit rates below the maximum by less than this fraction of it are ties:
 # equal sums taken in different orders differ by a few ulps, at any scale.
 TIE_RTOL = 1e-13
 
@@ -46,27 +45,15 @@ def enumerate_optimal(
 ) -> OptimalityReport:
     """Scan every feasible placement for the extremes of the hit rate.
 
-    Ties in the maximum are all returned; uniqueness is reported, never
-    assumed.
+    Every state within ``TIE_RTOL`` of the exact maximum is returned, in
+    enumeration order; uniqueness is reported, never assumed.
     """
-    cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
-    column_of = dict(zip(masks, cands))
-    h_of = mask_hit_rate(top, cat)
-    best: list[StateKey] = []
-    h_max = -math.inf
-    h_min = math.inf
-    tol = 0.0  # tie tolerance, relative to the running maximum
-    for config in itertools.product(masks, repeat=top.n_bs):
-        h = h_of(config)
-        if h > h_max + tol:
-            h_max = h
-            tol = TIE_RTOL * abs(h)
-            best = [tuple(column_of[x] for x in config)]
-        elif h >= h_max - tol:
-            best.append(tuple(column_of[x] for x in config))
-        if h < h_min:
-            h_min = h
-    return OptimalityReport(tuple(best), h_max, h_min)
+    cands, rates = state_rates(top, cat, cache_size)
+    h_max = max(rates)
+    floor = h_max - TIE_RTOL * abs(h_max)
+    states = itertools.product(cands, repeat=top.n_bs)
+    argmax = tuple(itertools.compress(states, (h >= floor for h in rates)))
+    return OptimalityReport(argmax, h_max, min(rates))
 
 
 def most_popular_placement(cat: ContentCatalog, n_bs: int, cache_size: int) -> Placement:

@@ -7,12 +7,10 @@ expectations for both fixed and annealed temperature schedules.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 import gibbscache as gc
-from gibbscache.gibbs import GibbsParams, enumerate_states, placement_from_key, state_masks
+from gibbscache.gibbs import GibbsParams, enumerate_states, state_rates
 
 # Periods whose kernels are held at once by ``expected_slot_counts``.
 KERNEL_CHUNK = 1 << 15
@@ -26,9 +24,7 @@ class ExactChain:
         self.states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_bs = top.n_bs
-        _, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
-        h = gc.mask_hit_rate(top, cat)
-        self.h = np.array([h(x) for x in itertools.product(masks, repeat=top.n_bs)])
+        self.h = np.array(state_rates(top, cat, cache_size)[1])
         # Per station: candidate energies and one-hot target states, so that
         # kernel[s, t] sums the conditional weights of the candidates of s
         # that lead to t.
@@ -39,7 +35,7 @@ class ExactChain:
             E = []
             T = []
             for s in self.states:
-                B = placement_from_key(s, cat.m_contents, cache_size)
+                B = gc.Placement.from_columns(cat.m_contents, s, cache_size)
                 cands, _ = gc.conditional_distribution(top, cat, B, j, 0.0)
                 E.append(
                     [

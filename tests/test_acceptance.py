@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gibbscache as gc
-from gibbscache.gibbs import GibbsParams, placement_from_key, transition_matrix
+from gibbscache.gibbs import GibbsParams, transition_matrix
 from gibbscache.realcache import most_popular_columns
 import conftest
 from conftest import random_instance, random_placement

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import gibbscache.gibbs
 from gibbscache.cli import main
+from gibbscache.model import mask_hit_rate
 
 REF_CONFIG = "configs/two_station_line.json"
 
@@ -139,6 +141,22 @@ class TestSweeps:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize("command, scans", [("sweep-beta", 1), ("reproduce-fig2", 2)])
+    def test_one_scan_for_all_betas(self, command, scans, tmp_path, monkeypatch, capsys):
+        # Every scan of the states builds one hit-rate function through
+        # gibbs; reproduce-fig2 scans once more for the optimum report.
+        builds = []
+
+        def counting(top, cat):
+            builds.append((top, cat))
+            return mask_hit_rate(top, cat)
+
+        monkeypatch.setattr(gibbscache.gibbs, "mask_hit_rate", counting)
+        cfg = write_cfg(tmp_path, sim={"horizon": 200, "seed": 1})
+        assert main([command, "--config", cfg, "--betas", "0,1,2"]) == 0
+        assert len(builds) == scans
+
+
 class TestFlags:
     def test_run_flags_only_on_simulating_commands(self, capsys):
         for command in ("optimal", "reproduce-fig2"):
@@ -146,6 +164,24 @@ class TestFlags:
                 main([command, "--config", REF_CONFIG, "--replications", "3"])
             assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--horizon", "-5"),
+            ("simulate", "--horizon", "0"),
+            ("simulate", "--replications", "0"),
+            ("sweep-beta", "--replications", "0"),
+            ("sweep-beta", "--betas", "abc"),
+            ("sweep-beta", "--betas", "-1"),
+            ("reproduce-fig2", "--betas", "-1"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, command, flag, value, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        assert main([command, "--config", cfg, flag, value]) == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,10 +8,10 @@ import pytest
 import gibbscache as gc
 from gibbscache.errors import CapacityError
 from gibbscache.gibbs import (
-    _gibbs_law,
     candidate_columns,
     enumerate_states,
-    placement_from_key,
+    expected_hit_rates,
+    state_rates,
     transition_matrix,
 )
 from gibbscache.realcache import most_popular_columns
@@ -78,14 +79,6 @@ class TestConditionalDistribution:
         with pytest.raises(ValueError):
             gc.conditional_distribution(line2_topology, line2_catalog, B, 1, -1.0)
 
-    def test_custom_energy_function(self, line2_topology, line2_catalog):
-        B = gc.Placement.from_columns(2, [(1,), (1,)], 1)
-        flat = lambda A, j: 0.0
-        _, probs = gc.conditional_distribution(
-            line2_topology, line2_catalog, B, 1, 5.0, energy=flat
-        )
-        assert np.allclose(probs, 0.5)
-
 
 class TestGibbsStep:
     def test_deterministic_for_fixed_streams(self, line2_topology, line2_catalog):
@@ -98,7 +91,7 @@ class TestGibbsStep:
             keys = []
             for _ in range(50):
                 state = gc.gibbs_step(state, params, line2_topology, line2_catalog, bs, col)
-                keys.append(state.placement.key())
+                keys.append(state.placement.columns())
             return keys
 
         assert walk(7) == walk(7)
@@ -135,7 +128,7 @@ class TestGibbsStep:
                     state = gc.gibbs_step(
                         state, params, top, cat, rngs["bs-pick"], rngs["column-sample"]
                     )
-                    assert state.placement.key() == chain[t]
+                    assert state.placement.columns() == chain[t]
 
     def test_greedy_at_large_beta(self, line2_topology, line2_catalog):
         # At beta = 1e4 every conditional is effectively a point mass, so a
@@ -145,7 +138,7 @@ class TestGibbsStep:
         bs, col = random.Random(3), random.Random(4)
         for _ in range(20):
             state = gc.gibbs_step(state, params, line2_topology, line2_catalog, bs, col)
-        assert state.placement.key() == ARGMAX
+        assert state.placement.columns() == ARGMAX
 
 
 class TestAnnealSchedule:
@@ -252,7 +245,7 @@ class TestStationaryDistribution:
         dist = gc.stationary_distribution(top, cat, k, beta)
         keys = list(dist)
         h = {
-            key: gc.hit_rate(top, cat, placement_from_key(key, cat.m_contents, k))
+            key: gc.hit_rate(top, cat, gc.Placement.from_columns(cat.m_contents, key, k))
             for key in keys
         }
         for a in keys[:8]:
@@ -278,17 +271,38 @@ class TestExpectedHitRate:
             0.765, abs=1e-6
         )
 
+    def test_many_betas_from_one_scan(self, line2_topology, line2_catalog):
+        # One scan weighted per beta must give exactly the one-beta values.
+        betas = [0.0, 0.5, 2.0, 17.0, 300.0]
+        rng = random.Random(13)
+        instances = [(line2_topology, line2_catalog, 1), (*three_stations(6), 2)]
+        instances += [random_instance(rng) for _ in range(10)]
+        for top, cat, k in instances:
+            assert expected_hit_rates(top, cat, k, betas) == [
+                gc.expected_hit_rate(top, cat, k, b) for b in betas
+            ]
+
+    def test_negative_beta_rejected(self, line2_topology, line2_catalog):
+        for exact in (gc.stationary_distribution, gc.expected_hit_rate):
+            with pytest.raises(ValueError):
+                exact(line2_topology, line2_catalog, 1, -0.5)
+        with pytest.raises(ValueError):
+            expected_hit_rates(line2_topology, line2_catalog, 1, [1.0, -0.5])
+
 
 class TestBitmaskLaw:
-    """``_gibbs_law`` evaluates each state as bitmasks; its rates must equal
+    """``state_rates`` evaluates each state as bitmasks; its rates must equal
     ``model.hit_rate`` of the state's placement exactly."""
 
     @staticmethod
     def check(top, cat, k):
-        states, rates, _ = _gibbs_law(top, cat, k, 1.0)
+        cands, rates = state_rates(top, cat, k)
+        states = list(itertools.product(cands, repeat=top.n_bs))
         assert states == enumerate_states(cat.m_contents, top.n_bs, k)
+        assert len(rates) == len(states)
         for key, h in zip(states, rates):
-            assert h == gc.hit_rate(top, cat, placement_from_key(key, cat.m_contents, k))
+            B = gc.Placement.from_columns(cat.m_contents, key, k)
+            assert h == gc.hit_rate(top, cat, B)
 
     @staticmethod
     def random_catalog(rng):
@@ -325,7 +339,7 @@ def rowwise_transition_matrix(top, cat, k, beta):
     n = top.n_bs
     P = np.zeros((len(states), len(states)))
     for row, key in enumerate(states):
-        B = placement_from_key(key, cat.m_contents, k)
+        B = gc.Placement.from_columns(cat.m_contents, key, k)
         for j in range(1, n + 1):
             cands, probs = gc.conditional_distribution(top, cat, B, j, beta)
             for c, p in zip(cands, probs):
@@ -384,8 +398,8 @@ class TestEnumerateStates:
 
     def test_roundtrip_placement(self):
         for key in enumerate_states(3, 2, 2):
-            B = placement_from_key(key, 3, 2)
-            assert B.key() == key
+            B = gc.Placement.from_columns(3, key, 2)
+            assert B.columns() == key
 
     def test_capacity_gate(self):
         with pytest.raises(CapacityError):
