@@ -140,7 +140,6 @@ class TestSweeps:
         assert lines[0] == "beta,gibbs,independent,most_popular"
         assert len(lines) == 3
 
-
     @pytest.mark.parametrize("command, scans", [("sweep-beta", 1), ("reproduce-fig2", 2)])
     def test_one_scan_for_all_betas(self, command, scans, tmp_path, monkeypatch, capsys):
         # Every scan of the states builds one hit-rate function through
@@ -164,7 +163,6 @@ class TestFlags:
                 main([command, "--config", REF_CONFIG, "--replications", "3"])
             assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize(
         "command, flag, value",
