@@ -22,6 +22,7 @@ from . import gibbs, oracle, sim
 from .config import ExperimentConfig, parse_config
 from .errors import CapacityError, ConfigError
 from .gibbs import GibbsParams
+from .model import hit_rate
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -61,18 +62,8 @@ def _emit(payload: dict, header: list[str], rows: list[list], args) -> None:
 
 
 def _baselines(cfg: ExperimentConfig) -> dict:
-    from .model import hit_rate
-
-    report = oracle.enumerate_optimal(cfg.topology, cfg.catalog, cfg.cache_size)
     pop = oracle.most_popular_placement(cfg.catalog, cfg.topology.n_bs, cfg.cache_size)
-    out = {
-        "argmax": [list(map(list, key)) for key in report.argmax],
-        "h_max": report.h_max,
-        "h_min": report.h_min,
-        "delta": report.delta,
-        "unique_argmax": report.unique,
-        "most_popular": hit_rate(cfg.topology, cfg.catalog, pop),
-    }
+    out = {"most_popular": hit_rate(cfg.topology, cfg.catalog, pop)}
     if cfg.catalog.m_contents == 2 and cfg.cache_size == 1:
         r_star, value = oracle.optimize_two_content_mixture(cfg.topology, cfg.catalog)
         out["independent_opt"] = value
@@ -81,7 +72,15 @@ def _baselines(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_optimal(cfg: ExperimentConfig, args) -> None:
-    data = _baselines(cfg)
+    report = oracle.enumerate_optimal(cfg.topology, cfg.catalog, cfg.cache_size)
+    data = {
+        "argmax": [list(map(list, key)) for key in report.argmax],
+        "h_max": report.h_max,
+        "h_min": report.h_min,
+        "delta": report.delta,
+        "unique_argmax": report.unique,
+        **_baselines(cfg),
+    }
     rows = [[k, json.dumps(v) if isinstance(v, list) else v] for k, v in data.items()]
     _emit(data, ["quantity", "value"], rows, args)
 
@@ -186,8 +185,8 @@ def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
     betas = _parse_betas(args.betas)
     rows = []
     entries = []
-    exacts = gibbs.expected_hit_rates(cfg.topology, cfg.catalog, cfg.cache_size, betas)
-    for beta, exact in zip(betas, exacts):
+    _, rates = gibbs.state_rates(cfg.topology, cfg.catalog, cfg.cache_size)
+    for beta, exact in zip(betas, gibbs.expected_hit_rates(rates, betas)):
         fixed_cfg = dataclasses.replace(cfg, gibbs=GibbsParams(mode="fixed", beta=beta))
         sim_rates = [
             sim.run(fixed_cfg, args.seed + r).time_average_hit_rate(0.5, 1.0)
@@ -201,11 +200,11 @@ def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
 
 def cmd_reproduce_fig2(cfg: ExperimentConfig, args) -> None:
     betas = _parse_betas(args.betas)
+    _, rates = gibbs.state_rates(cfg.topology, cfg.catalog, cfg.cache_size)
     base = _baselines(cfg)
     rows = []
     entries = []
-    exacts = gibbs.expected_hit_rates(cfg.topology, cfg.catalog, cfg.cache_size, betas)
-    for beta, exact in zip(betas, exacts):
+    for beta, exact in zip(betas, gibbs.expected_hit_rates(rates, betas)):
         entries.append(
             {
                 "beta": beta,
@@ -215,7 +214,7 @@ def cmd_reproduce_fig2(cfg: ExperimentConfig, args) -> None:
             }
         )
         rows.append([beta, exact, base.get("independent_opt"), base["most_popular"]])
-    payload = {"curves": entries, "h_max": base["h_max"]}
+    payload = {"curves": entries, "h_max": max(rates)}
     _emit(payload, ["beta", "gibbs", "independent", "most_popular"], rows, args)
 
 
@@ -256,6 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in RUN_COMMANDS:
             if args.seed is None:
                 args.seed = cfg.seed
+            elif args.seed < 0:
+                raise ConfigError("--seed", "must be >= 0")
             if args.replications < 1:
                 raise ConfigError("--replications", "must be >= 1")
             if args.horizon is not None:

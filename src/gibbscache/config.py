@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import geometry, oracle
 from .errors import CapacityError, ConfigError
@@ -51,19 +52,40 @@ class ExperimentConfig:
         return SnapshotSchedule(self.schedule_kind, self.schedule_t1, self.schedule_ratio)
 
 
-def _get(data: dict, path: str, default=None, required=False):
-    node: Any = data
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(path, "missing required field", "add it to the config")
-            return default
-        node = node[part]
-    return node
+def _field(sec: dict, path: str, name: str, default: Any, ok: Callable[[Any], bool], want: str):
+    """Field ``name`` of the section ``sec`` at ``path``, checked by ``ok``;
+    ``want`` says what passes.  An absent field takes ``default``, or is
+    missing when ``default`` is None."""
+    if name not in sec:
+        if default is None:
+            raise ConfigError(f"{path}.{name}", "missing required field", "add it to the config")
+        return default
+    if not ok(sec[name]):
+        raise ConfigError(f"{path}.{name}", f"must be {want}, got {json.dumps(sec[name])}")
+    return sec[name]
+
+
+def _reals(values: Any) -> bool:
+    """True iff ``values`` is a list of finite JSON numbers (true and false are not)."""
+    return (
+        isinstance(values, list)
+        and {*map(type, values)} <= {int, float}
+        and all(map(math.isfinite, values))
+    )
+
+
+def _finite(values: list) -> None:
+    if not _reals(values):
+        raise ValueError("every value must be a finite number")
+
+
+# Checks of a field, with what passes them.
+POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite number > 0")
+BOOL = (lambda v: type(v) is bool, "true or false")
 
 
 def _build_topology(data: dict) -> CellTopology:
-    topo = _get(data, "topology", required=True)
+    topo = data.get("topology", {})
     modes = [m for m in ("segments", "intervals", "discs") if m in topo]
     if len(modes) != 1:
         raise ConfigError(
@@ -71,26 +93,28 @@ def _build_topology(data: dict) -> CellTopology:
             f"expected exactly one of segments/intervals/discs, found {modes or 'none'}",
             "pick a single topology mode",
         )
-    mode = modes[0]
+    path, spec = f"topology.{modes[0]}", topo[modes[0]]
     try:
-        if mode == "intervals":
-            return geometry.from_intervals([tuple(iv) for iv in topo["intervals"]])
-        if mode == "segments":
-            areas = {
-                frozenset(entry["subset"]): entry["area"]
-                for entry in topo["segments"]["areas"]
-            }
-            return geometry.from_segments(topo["segments"]["n_bs"], areas)
-        discs = topo["discs"]
-        return geometry.from_discs(
-            [tuple(c) for c in discs["centers"]], discs["radii"], discs["grid_step"]
-        )
+        if path == "topology.intervals":
+            intervals = [tuple(iv) for iv in spec]
+            _finite([*chain.from_iterable(intervals)])
+            return geometry.from_intervals(intervals)
+        if path == "topology.segments":
+            areas = {frozenset(entry["subset"]): entry["area"] for entry in spec["areas"]}
+            _finite([spec["n_bs"], *areas.values(), *chain.from_iterable(areas)])
+            return geometry.from_segments(spec["n_bs"], areas)
+        centers = [tuple(c) for c in spec["centers"]]
+        _finite([*chain.from_iterable(centers), *spec["radii"], spec["grid_step"]])
+        return geometry.from_discs(centers, spec["radii"], spec["grid_step"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"topology.{mode}", str(exc), "fix the topology entry") from exc
+        raise ConfigError(path, str(exc), "fix the topology entry") from exc
 
 
 def build_config(data: dict) -> ExperimentConfig:
     """Validate a parsed config dict and assemble the experiment object."""
+    for name in ("topology", "catalog", "cache", "gibbs", "traffic", "schedule", "sim"):
+        if not isinstance(data.get(name, {}), dict):
+            raise ConfigError(name, "must be a JSON object")
     top = _build_topology(data)
     if not top.segment_areas:
         raise ConfigError(
@@ -99,15 +123,17 @@ def build_config(data: dict) -> ExperimentConfig:
             "give at least one segment a positive area",
         )
 
-    intensities = _get(data, "catalog.intensities", required=True)
+    sec = data.get("catalog", {})
+    intensities = _field(sec, "catalog", "intensities", None, _reals, "a list of finite numbers")
     try:
         cat = ContentCatalog(tuple(intensities))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("catalog.intensities", str(exc), "use positive finite rates") from exc
 
-    cache_size = _get(data, "cache.capacity", required=True)
-    if not isinstance(cache_size, int) or cache_size < 1:
-        raise ConfigError("cache.capacity", f"must be a positive integer, got {cache_size!r}")
+    sec = data.get("cache", {})
+    cache_size = _field(
+        sec, "cache", "capacity", None, lambda v: type(v) is int and v >= 1, "an integer >= 1"
+    )
     if cache_size >= cat.m_contents:
         raise ConfigError(
             "cache.capacity",
@@ -115,20 +141,20 @@ def build_config(data: dict) -> ExperimentConfig:
             "shrink the cache or grow the catalog",
         )
 
-    mode = _get(data, "gibbs.mode", "fixed")
-    learning = bool(_get(data, "gibbs.learning", False))
-    try:
-        gparams = GibbsParams(
-            mode=mode,
-            beta=float(_get(data, "gibbs.beta", 1.0)),
-            beta0=float(_get(data, "gibbs.beta0", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("gibbs", str(exc), "fix the sampler parameters") from exc
+    sec = data.get("gibbs", {})
+    gparams = GibbsParams(
+        mode=_field(sec, "gibbs", "mode", "fixed", ("fixed", "annealed").__contains__,
+                    '"fixed" or "annealed"'),
+        beta=float(_field(sec, "gibbs", "beta", 1.0,
+                          lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+                          "a finite number >= 0")),
+        beta0=float(_field(sec, "gibbs", "beta0", 1.0, *POSITIVE)),
+    )
+    learning = _field(sec, "gibbs", "learning", False, *BOOL)
 
-    eta = float(_get(data, "traffic.eta", 0.0))
-    if not (0 <= eta < 1):
-        raise ConfigError("traffic.eta", f"must be in [0, 1), got {eta}")
+    traffic = data.get("traffic", {})
+    eta = float(_field(traffic, "traffic", "eta", 0.0,
+                       lambda v: type(v) in (int, float) and 0 <= v < 1, "a number in [0, 1)"))
     if eta == 0.0:
         uncovered = [j for j in range(1, top.n_bs + 1) if not top.has_exclusive_region(j)]
         if uncovered:
@@ -139,15 +165,15 @@ def build_config(data: dict) -> ExperimentConfig:
                 "set traffic.eta to a small positive value, e.g. 0.01",
             )
 
-    est = EstimatorConfig(
-        c0=float(_get(data, "traffic.estimator.c0", 1.0)),
-        t0=float(_get(data, "traffic.estimator.t0", 1.0)),
-        scope=_get(data, "traffic.estimator.scope", "shared"),
+    sec = _field(
+        traffic, "traffic", "estimator", {}, lambda v: isinstance(v, dict), "a JSON object"
     )
-    if est.c0 <= 0 or est.t0 <= 0:
-        raise ConfigError("traffic.estimator", "smoothing constants c0, t0 must be > 0")
-    if est.scope not in ("shared", "local"):
-        raise ConfigError("traffic.estimator.scope", f"unknown scope {est.scope!r}")
+    est = EstimatorConfig(
+        c0=float(_field(sec, "traffic.estimator", "c0", 1.0, *POSITIVE)),
+        t0=float(_field(sec, "traffic.estimator", "t0", 1.0, *POSITIVE)),
+        scope=_field(sec, "traffic.estimator", "scope", "shared",
+                     ("shared", "local").__contains__, '"shared" or "local"'),
+    )
     if learning and est.scope == "local" and eta == 0.0:
         raise ConfigError(
             "traffic.estimator.scope",
@@ -155,24 +181,15 @@ def build_config(data: dict) -> ExperimentConfig:
             "set traffic.eta > 0",
         )
 
-    kind = _get(data, "schedule.kind", "linear")
-    t1 = float(_get(data, "schedule.t1", 10.0))
-    ratio = float(_get(data, "schedule.ratio", 2.0))
-    try:
-        SnapshotSchedule(kind, t1, ratio)
-    except ValueError as exc:
-        raise ConfigError("schedule", str(exc))
+    sec = data.get("schedule", {})
+    kind = _field(sec, "schedule", "kind", "linear", ("linear", "geometric").__contains__,
+                  '"linear" or "geometric"')
+    t1 = float(_field(sec, "schedule", "t1", 10.0, *POSITIVE))
+    ratio = float(_field(sec, "schedule", "ratio", 2.0,
+                         lambda v: _reals([v]) and (v > 1 or kind == "linear"),
+                         "a finite number, > 1 for geometric growth"))
 
-    horizon = float(_get(data, "sim.horizon", 10_000.0))
-    if horizon <= 0:
-        raise ConfigError("sim.horizon", "must be positive")
-    slot_spacing = float(_get(data, "sim.slot_spacing", 1.0))
-    if slot_spacing <= 0:
-        raise ConfigError("sim.slot_spacing", "must be positive")
-    n_windows = _get(data, "sim.n_windows", 12)
-    if not isinstance(n_windows, int) or n_windows < 3:
-        raise ConfigError("sim.n_windows", "must be an integer >= 3")
-
+    sec = data.get("sim", {})
     cfg = ExperimentConfig(
         topology=top,
         catalog=cat,
@@ -184,12 +201,13 @@ def build_config(data: dict) -> ExperimentConfig:
         schedule_t1=t1,
         schedule_ratio=ratio,
         eta=eta,
-        horizon=horizon,
-        slot_spacing=slot_spacing,
-        n_windows=n_windows,
-        seed=int(_get(data, "sim.seed", 0)),
-        record_events=bool(_get(data, "sim.record_events", False)),
-        record_slots=bool(_get(data, "sim.record_slots", False)),
+        horizon=float(_field(sec, "sim", "horizon", 10_000.0, *POSITIVE)),
+        slot_spacing=float(_field(sec, "sim", "slot_spacing", 1.0, *POSITIVE)),
+        n_windows=_field(sec, "sim", "n_windows", 12, lambda v: type(v) is int and v >= 3,
+                         "an integer >= 3"),
+        seed=_field(sec, "sim", "seed", 0, lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+        record_events=_field(sec, "sim", "record_events", False, *BOOL),
+        record_slots=_field(sec, "sim", "record_slots", False, *BOOL),
     )
 
     if gparams.mode == "annealed":

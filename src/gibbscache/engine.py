@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .config import EstimatorConfig
 from .geometry import CellTopology
 from .model import ContentCatalog
 
@@ -62,10 +63,11 @@ def _lex_sample(a: list[float], k: int, u: float) -> tuple[int, ...]:
 class FastCore:
     """Incremental state of the virtual-cache Gibbs chain.
 
-    ``rate_source`` selects exact per-(content, segment) arrival rates
-    (lambda_i * area) or on-line estimates fed via :meth:`record_arrival`.
-    Estimates can be shared network-wide or kept per station (``local``
-    scope, exploration-served requests only, rescaled to stay unbiased).
+    Per-(content, segment) arrival rates are exact (lambda_i * area) when
+    ``estimator`` is None, else ``(count * scale + c0) / (now + t0)`` over the
+    arrivals fed to :meth:`record_arrival`: one table shared network-wide, or
+    one per station under ``local`` scope, fed by the requests it served by
+    exploration and scaled by |s| / eta to stay unbiased.
     """
 
     def __init__(
@@ -73,16 +75,9 @@ class FastCore:
         top: CellTopology,
         cat: ContentCatalog,
         cache_size: int,
-        rate_source: str = "exact",
-        est_scope: str = "shared",
-        est_c0: float = 1.0,
-        est_t0: float = 1.0,
+        estimator: EstimatorConfig | None = None,
         eta: float = 0.0,
     ):
-        if rate_source not in ("exact", "estimate"):
-            raise ValueError(f"unknown rate_source {rate_source!r}")
-        if est_scope not in ("shared", "local"):
-            raise ValueError(f"unknown estimator scope {est_scope!r}")
         self.n_bs = top.n_bs
         self.m = cat.m_contents
         self.k = cache_size
@@ -97,26 +92,15 @@ class FastCore:
         self.true_rates = [
             [lam[i] * area for i in range(self.m)] for area in self.seg_areas
         ]
-        self.rate_source = rate_source
-        self.est_scope = est_scope
-        self.est_c0 = est_c0
-        self.est_t0 = est_t0
-        # Per-(segment, content) observation counts; one table when shared,
-        # one per station when local.
-        n_tables = 1 if est_scope == "shared" else self.n_bs
+        self.estimator = estimator
+        self.local = estimator is not None and estimator.scope == "local"
+        if self.local and eta <= 0:
+            raise ValueError("local estimator scope requires eta > 0")
         self.est_counts = [
-            [[0] * self.m for _ in self.segments] for _ in range(n_tables)
+            [[0] * self.m for _ in self.segments]
+            for _ in range(self.n_bs if self.local else 1)
         ]
-        # Local tables see only the eta-exploration thinning of the arrival
-        # stream; rescale by |s| / eta to keep the estimate unbiased.
-        if est_scope == "local":
-            if rate_source == "estimate" and eta <= 0:
-                raise ValueError("local estimator scope requires eta > 0")
-            self.est_scale = [
-                len(s) / eta if eta > 0 else 0.0 for s, _ in self.segments
-            ]
-        else:
-            self.est_scale = [1.0] * len(self.segments)
+        self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
         # Chain state: a sorted 1-based content tuple per station.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.set_columns([range(1, self.k + 1)] * self.n_bs)
@@ -151,58 +135,63 @@ class FastCore:
 
     # -- rates -------------------------------------------------------------
 
-    def record_arrival(self, q: int, i0: int, bs0: int | None = None) -> None:
-        """Count one request for content ``i0`` (0-based) from segment ``q``.
+    def record_arrival(self, q: int, i0: int, bs0: int, explored: bool) -> None:
+        """Count a request for content ``i0`` (0-based) from segment ``q``,
+        served by station ``bs0`` (0-based), by exploration or not.
 
-        Shared scope counts every arrival; local scope is fed only the
-        exploration-served requests of station ``bs0``.
+        The shared table counts every request; station ``bs0``'s local table
+        counts only the requests it served by exploration.
         """
-        if self.est_scope == "shared":
+        if not self.local:
             self.est_counts[0][q][i0] += 1
-        elif bs0 is not None:
+        elif explored:
             self.est_counts[bs0][q][i0] += 1
 
     def theta(self, q: int, i0: int, now: float, table: int = 0) -> float:
-        counts = self.est_counts[table][q]
-        return (counts[i0] * self.est_scale[q] + self.est_c0) / (now + self.est_t0)
+        """Estimated rate of content ``i0`` (0-based) in segment ``q`` at ``now``."""
+        est = self.estimator
+        inv = 1.0 / (now + est.t0)
+        return (self.est_counts[table][q][i0] * self.est_scale[q] + est.c0) * inv
 
     # -- Gibbs update ------------------------------------------------------
 
-    def energy_split(self, j0: int, now: float = 0.0) -> tuple[float, list[float]]:
-        """Local energy of station ``j0`` (0-based) with column c as ``H +
-        sum(g[i - 1] for i in c)``: ``g[i]`` is the rate content ``i``
-        (0-based) adds where no other station stores it, ``H`` the rest.
-        Rates are exact or estimated as ``(count * scale + c0) / (now + t0)``.
+    def gains(self, j0: int, now: float = 0.0) -> list[float]:
+        """Rate ``g[i]`` that content ``i`` (0-based) adds to the local energy
+        of station ``j0`` (0-based): the sum of its rates over the segments
+        of ``j0`` where no other station stores it.  The local energy of
+        column c is ``sum(g[i - 1] for i in c)`` plus a part that does not
+        depend on c.
         """
         m = self.m
         own = [0] * m
         for i in self.col[j0]:
             own[i - 1] = 1
-        exact = self.rate_source == "exact"
-        est = self.est_counts[0 if self.est_scope == "shared" else j0]
-        inv = 1.0 / (now + self.est_t0)
-        c0 = self.est_c0
-        hit = 0.0
         g = [0.0] * m
+        est = self.estimator
+        if est is not None:
+            table = self.est_counts[j0 if self.local else 0]
+            inv = 1.0 / (now + est.t0)
+            c0 = est.c0
         for q in self.segs_of_bs[j0]:
             cnt = self.counts[q]
-            w = self.true_rates[q]
-            n = est[q]
-            scale = self.est_scale[q]
-            for i in range(m):
-                x = w[i] if exact else (n[i] * scale + c0) * inv
-                if cnt[i] > own[i]:
-                    hit += x
-                else:
-                    g[i] += x
-        return hit, g
+            if est is None:
+                w = self.true_rates[q]
+                for i in range(m):
+                    if cnt[i] == own[i]:
+                        g[i] += w[i]
+            else:
+                n = table[q]
+                scale = self.est_scale[q]
+                for i in range(m):
+                    if cnt[i] == own[i]:
+                        g[i] += (n[i] * scale + c0) * inv
+        return g
 
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
         """Resample the column of station ``j0`` by inverse CDF at uniform
         ``u`` over the lexicographic K-subsets; returns the new column.
         """
-        _, g = self.energy_split(j0, now)
-        new = _lex_sample([beta * x for x in g], self.k, u)
+        new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
         old = self.col[j0]
         if new != old:
             # Placement keys that callers keep share one tuple per column.

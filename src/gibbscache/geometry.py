@@ -36,8 +36,8 @@ class CellTopology:
     total_area: float = field(init=False)
 
     def __post_init__(self):
-        if self.n_bs < 1:
-            raise ValueError("need at least one base station")
+        if not isinstance(self.n_bs, int) or self.n_bs < 1:
+            raise ValueError(f"need an integer number >= 1 of base stations, got {self.n_bs!r}")
         cleaned: dict[Subset, float] = {}
         order: dict[Subset, tuple[int, list[int]]] = {}
         for subset, area in self.segment_areas.items():
@@ -87,7 +87,10 @@ class CellTopology:
 
 def from_segments(n_bs: int, areas: Mapping[Iterable[int], float]) -> CellTopology:
     """Build a topology directly from a subset -> area map."""
-    return CellTopology(n_bs, {frozenset(k): v for k, v in areas.items()})
+    subsets = {frozenset(k): v for k, v in areas.items()}
+    if not all(isinstance(j, int) for s in subsets for j in s):
+        raise ValueError("station ids must be integers")
+    return CellTopology(n_bs, subsets)
 
 
 def from_intervals(intervals: Sequence[tuple[float, float]]) -> CellTopology:

@@ -231,12 +231,9 @@ def stationary_distribution(
     return dict(zip(states, _gibbs_weights(rates, beta)))
 
 
-def expected_hit_rates(
-    top: CellTopology, cat: ContentCatalog, cache_size: int, betas: Iterable[float]
-) -> list[float]:
+def expected_hit_rates(rates: array, betas: Iterable[float]) -> list[float]:
     """Expected network hit rate under the exact Gibbs distribution at each
-    beta, from one scan of the states."""
-    _, rates = state_rates(top, cat, cache_size)
+    beta, from the hit rates of every state (:func:`state_rates`)."""
     return [sum(p * h for p, h in zip(_gibbs_weights(rates, b), rates)) for b in betas]
 
 
@@ -244,7 +241,7 @@ def expected_hit_rate(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> float:
     """Expected network hit rate under the exact Gibbs distribution."""
-    return expected_hit_rates(top, cat, cache_size, [beta])[0]
+    return expected_hit_rates(state_rates(top, cat, cache_size)[1], [beta])[0]
 
 
 def transition_matrix(

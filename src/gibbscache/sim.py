@@ -183,15 +183,9 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     server_random = rngs["server-pick"].random
     server_randrange = rngs["server-pick"].randrange
 
+    learning = config.learning
     core = FastCore(
-        top,
-        cat,
-        config.cache_size,
-        rate_source="estimate" if config.learning else "exact",
-        est_scope=config.estimator.scope,
-        est_c0=config.estimator.c0,
-        est_t0=config.estimator.t0,
-        eta=config.eta,
+        top, cat, config.cache_size, config.estimator if learning else None, config.eta
     )
     n_bs = top.n_bs
     m = cat.m_contents
@@ -200,8 +194,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     n_windows = config.n_windows
     wlen = horizon / n_windows
     gparams = config.gibbs
-    learning = config.learning
-    local_scope = config.estimator.scope == "local"
     eta = config.eta
 
     # Arrival marks: running sums of popularity and segment area, as in
@@ -311,8 +303,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         if q >= n_seg:
             q = n_seg - 1
         content = i0 + 1
-        if learning and not local_scope:
-            core.record_arrival(q, i0)
 
         # Serving-station selection.
         covering = seg_bs[q]
@@ -325,8 +315,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 pool = [j for j in covering if content in real_sets[j - 1]] or covering
                 pools[q * m + i0] = pool
         j = pool[server_randrange(len(pool))] if len(pool) > 1 else pool[0]
-        if learning and local_scope and explore:
-            core.record_arrival(q, i0, j - 1)
+        if learning:
+            core.record_arrival(q, i0, j - 1, explore)
 
         # Real-cache update.
         w = min(int(tau / wlen), n_windows - 1)
@@ -355,21 +345,15 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     add_real_time(last_change, horizon, real_key, cur_h)
 
-    estimator: list[EstimatorSnapshot] = []
-    if learning:
-        table = 0  # shared table, or station 1's view under local scope
-        for q in range(n_seg):
-            subset = tuple(seg_bs[q])
-            for i0 in range(m):
-                estimator.append(
-                    EstimatorSnapshot(
-                        content=i0 + 1,
-                        segment=subset,
-                        count=core.est_counts[table][q][i0],
-                        theta=core.theta(q, i0, horizon, table),
-                        true_rate=core.true_rates[q][i0],
-                    )
-                )
+    # The shared table, or station 1's view under local scope.
+    estimator = [
+        EstimatorSnapshot(
+            i0 + 1, tuple(seg_bs[q]), core.est_counts[0][q][i0],
+            core.theta(q, i0, horizon), core.true_rates[q][i0],
+        )
+        for q in range(n_seg)
+        for i0 in range(m)
+    ] if learning else []
 
     return SimTrace(
         horizon=horizon,

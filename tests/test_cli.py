@@ -140,10 +140,9 @@ class TestSweeps:
         assert lines[0] == "beta,gibbs,independent,most_popular"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("command, scans", [("sweep-beta", 1), ("reproduce-fig2", 2)])
+    @pytest.mark.parametrize("command, scans", [("sweep-beta", 1), ("reproduce-fig2", 1)])
     def test_one_scan_for_all_betas(self, command, scans, tmp_path, monkeypatch, capsys):
-        # Every scan of the states builds one hit-rate function through
-        # gibbs; reproduce-fig2 scans once more for the optimum report.
+        # Every scan of the states builds one hit-rate function through gibbs.
         builds = []
 
         def counting(top, cat):
@@ -174,6 +173,7 @@ class TestFlags:
             ("sweep-beta", "--betas", "abc"),
             ("sweep-beta", "--betas", "-1"),
             ("reproduce-fig2", "--betas", "-1"),
+            ("simulate", "--seed", "-1"),
         ],
     )
     def test_bad_value_is_config_error(self, command, flag, value, tmp_path, capsys):
@@ -188,6 +188,33 @@ class TestExitCodes:
         bad.write_text("{}")
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"sim": {"horizon": float("nan")}}, "sim.horizon"),
+            ({"sim": {"horizon": float("inf")}}, "sim.horizon"),
+            ({"sim": {"seed": -1}}, "sim.seed"),
+            ({"sim": {"seed": 1.5}}, "sim.seed"),
+            ({"cache": {"capacity": True}}, "cache.capacity"),
+            ({"gibbs": {"beta": "2.0"}}, "gibbs.beta"),
+            ({"gibbs": {"learning": "false"}}, "gibbs.learning"),
+            ({"gibbs": [1]}, "gibbs"),
+            (
+                {"topology": {"segments": {"n_bs": 2.0, "areas": [{"subset": [1], "area": 1}]}}},
+                "topology.segments",
+            ),
+            (
+                {"topology": {"discs": {"centers": [[0, 0]], "radii": [float("inf")],
+                                        "grid_step": 0.1}}},
+                "topology.discs",
+            ),
+        ],
+    )
+    def test_bad_config_value(self, over, field, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, **over)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["optimal", "--config", "no/such/file.json"]) == 2

@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +154,55 @@ class TestBuildConfig:
             assert exc.remedy and "beta0 <" in exc.remedy
         else:
             pytest.fail("expected ConfigError")
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, "1", None, True, [], {}]
+
+
+def every_field_set():
+    """The shipped config with every optional field added at its default."""
+    data = json.loads(Path("configs/two_station_line.json").read_text())
+    data["gibbs"].update(beta0=1.0, learning=False)
+    data["schedule"]["ratio"] = 2.0
+    data["traffic"]["estimator"] = {"c0": 1.0, "t0": 1.0, "scope": "shared"}
+    data["sim"].update(record_events=False, record_slots=False)
+    return data
+
+
+def nodes(node, field=""):
+    """(field, parent, key) of every value below ``node``, depth first; a
+    list element is named by the field of its list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        name = f"{field}.{key}".lstrip(".") if isinstance(node, dict) else field
+        yield name, node, key
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, name)
+
+
+class TestBadValues:
+    def test_every_field_rejects_bad_values(self):
+        # Each value, section and list element in turn gets each bad value;
+        # build_config must raise a ConfigError naming that field, and
+        # nothing else.
+        data = every_field_set()
+        gc.build_config(data)
+        wrong = []
+        for index, (field, parent, key) in enumerate(nodes(data)):
+            for bad in BAD_VALUES:
+                if type(bad) in (bool, dict) and type(bad) is type(parent[key]):
+                    continue  # a valid value there
+                case = copy.deepcopy(data)
+                _, target, _ = list(nodes(case))[index]
+                target[key] = bad
+                try:
+                    gc.build_config(case)
+                except ConfigError as exc:
+                    if exc.field != field:
+                        wrong.append((field, bad, exc.field))
+                else:
+                    wrong.append((field, bad, "accepted"))
+        assert not wrong
 
 
 class TestParseConfig:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import gibbscache as gc
+from gibbscache.config import EstimatorConfig
 from gibbscache.engine import FastCore
 from gibbscache.gibbs import candidate_columns
 from gibbscache.traffic import RateEstimates, estimated_local_energy
@@ -18,9 +19,15 @@ def _random_key(rng, core):
     return tuple(cands[rng.randrange(len(cands))] for _ in range(core.n_bs))
 
 
-def _split_energy(split, column):
-    hit, g = split
-    return hit + sum(g[i - 1] for i in column)
+def _column_gain(g, column):
+    return sum(g[i - 1] for i in column)
+
+
+def _assert_energy_is_gain_plus_constant(energy, g, m, k):
+    # The local energy of every candidate column c is sum(g over c) plus one
+    # constant, the part that does not depend on c.
+    rest = [energy(c) - _column_gain(g, c) for c in candidate_columns(m, k)]
+    assert max(rest) - min(rest) <= 1e-12
 
 
 def _inverse_cdf(cands, probs, u):
@@ -42,10 +49,10 @@ class TestExactAgreement:
             core.set_columns(key)
             B = gc.Placement.from_columns(cat.m_contents, key, k)
             for j0 in range(top.n_bs):
-                split = core.energy_split(j0)
-                for c in candidate_columns(cat.m_contents, k):
-                    ref = gc.local_energy(top, cat, B.with_column(j0 + 1, c), j0 + 1)
-                    assert _split_energy(split, c) == pytest.approx(ref, abs=1e-12)
+                _assert_energy_is_gain_plus_constant(
+                    lambda c: gc.local_energy(top, cat, B.with_column(j0 + 1, c), j0 + 1),
+                    core.gains(j0), cat.m_contents, k,
+                )
 
     def test_cond_probs_match_reference(self):
         rng = random.Random(52)
@@ -57,9 +64,9 @@ class TestExactAgreement:
             B = gc.Placement.from_columns(cat.m_contents, key, k)
             beta = rng.uniform(0, 20)
             for j0 in range(top.n_bs):
-                split = core.energy_split(j0)
+                g = core.gains(j0)
                 cands, ref = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
-                exponents = [beta * _split_energy(split, c) for c in cands]
+                exponents = [beta * _column_gain(g, c) for c in cands]
                 weights = [math.exp(x - max(exponents)) for x in exponents]
                 for w, b in zip(weights, ref):
                     assert w / sum(weights) == pytest.approx(b, abs=1e-12)
@@ -109,10 +116,7 @@ class TestExactAgreement:
 
 class TestEstimateMode:
     def test_theta_matches_reference_estimator(self, line2_topology, line2_catalog):
-        core = FastCore(
-            line2_topology, line2_catalog, 1, rate_source="estimate",
-            est_c0=2.0, est_t0=3.0,
-        )
+        core = FastCore(line2_topology, line2_catalog, 1, EstimatorConfig(c0=2.0, t0=3.0))
         ref = RateEstimates(c0=2.0, t0=3.0)
         rng = random.Random(55)
         tau = 0.0
@@ -120,7 +124,7 @@ class TestEstimateMode:
         for _ in range(500):
             req = gc.next_request(rng, line2_topology, line2_catalog, tau)
             tau = req.time
-            core.record_arrival(seg_index[req.segment], req.content - 1)
+            core.record_arrival(seg_index[req.segment], req.content - 1, 0, False)
             ref.observe(req, tau)
         for q, s in enumerate(core.seg_bs):
             for i in range(2):
@@ -129,7 +133,7 @@ class TestEstimateMode:
                 )
 
     def test_estimated_energies_match_reference(self, line2_topology, line2_catalog):
-        core = FastCore(line2_topology, line2_catalog, 1, rate_source="estimate")
+        core = FastCore(line2_topology, line2_catalog, 1, EstimatorConfig())
         ref = RateEstimates()
         rng = random.Random(56)
         tau = 0.0
@@ -137,28 +141,27 @@ class TestEstimateMode:
         for _ in range(300):
             req = gc.next_request(rng, line2_topology, line2_catalog, tau)
             tau = req.time
-            core.record_arrival(seg_index[req.segment], req.content - 1)
+            core.record_arrival(seg_index[req.segment], req.content - 1, 0, False)
             ref.observe(req, tau)
         for cols in (((1,), (1,)), ((2,), (1,))):
             core.set_columns(cols)
             B = gc.Placement.from_columns(2, cols, 1)
             for j0 in range(2):
-                split = core.energy_split(j0, now=tau)
-                for c in candidate_columns(2, 1):
-                    expect = estimated_local_energy(
+                _assert_energy_is_gain_plus_constant(
+                    lambda c: estimated_local_energy(
                         line2_topology, ref, B.with_column(j0 + 1, c), j0 + 1
-                    )
-                    assert _split_energy(split, c) == pytest.approx(expect, abs=1e-12)
+                    ),
+                    core.gains(j0, now=tau), 2, 1,
+                )
 
     def test_local_scope_scaling(self, line2_topology, line2_catalog):
         eta = 0.25
-        core = FastCore(
-            line2_topology, line2_catalog, 1,
-            rate_source="estimate", est_scope="local", eta=eta,
-        )
+        core = FastCore(line2_topology, line2_catalog, 1, EstimatorConfig(scope="local"), eta)
         # Shared segment {1, 2} has |s| = 2, so counts are scaled by 2/eta.
         q = next(i for i, s in enumerate(core.seg_bs) if s == [1, 2])
-        core.record_arrival(q, 0, bs0=0)
+        core.record_arrival(q, 0, 0, True)
+        # A local table counts only the requests its station explored.
+        core.record_arrival(q, 0, 1, False)
         now = 10.0
         assert core.theta(q, 0, now, table=0) == pytest.approx(
             (1 * 2 / eta + 1.0) / (now + 1.0)
@@ -167,14 +170,11 @@ class TestEstimateMode:
         assert core.theta(q, 0, now, table=1) == pytest.approx(1.0 / (now + 1.0))
 
     def test_local_scope_energy_reads_own_table(self, line2_topology, line2_catalog):
-        core = FastCore(
-            line2_topology, line2_catalog, 1,
-            rate_source="estimate", est_scope="local", eta=0.25,
-        )
+        core = FastCore(line2_topology, line2_catalog, 1, EstimatorConfig(scope="local"), 0.25)
         rng = random.Random(57)
         for _ in range(200):
             q = rng.randrange(len(core.seg_bs))
-            core.record_arrival(q, rng.randrange(2), bs0=rng.choice(core.seg_bs[q]) - 1)
+            core.record_arrival(q, rng.randrange(2), rng.choice(core.seg_bs[q]) - 1, True)
         core.set_columns(((1,), (2,)))
         q_of = {tuple(s): q for q, s in enumerate(core.seg_bs)}
         now = 50.0
@@ -183,18 +183,15 @@ class TestEstimateMode:
                 return core.theta(q_of[s], i, now, table=j0)
 
             alone = (j0 + 1,)
-            hit, g = core.energy_split(j0, now)
-            # Only the other station's content in the shared segment is a hit.
-            assert hit == pytest.approx(theta((1, 2), other), rel=1e-12)
-            assert g[own] == pytest.approx(theta(alone, own) + theta((1, 2), own), rel=1e-12)
-            assert g[other] == pytest.approx(theta(alone, other), rel=1e-12)
+            g = core.gains(j0, now)
+            # The other station's content gains nothing in the shared segment.
+            # The sampler's rates are the reported ones, bit for bit.
+            assert g[own] == theta(alone, own) + theta((1, 2), own)
+            assert g[other] == theta(alone, other)
 
     def test_local_scope_requires_eta(self, line2_topology, line2_catalog):
         with pytest.raises(ValueError):
-            FastCore(
-                line2_topology, line2_catalog, 1,
-                rate_source="estimate", est_scope="local", eta=0.0,
-            )
+            FastCore(line2_topology, line2_catalog, 1, EstimatorConfig(scope="local"), 0.0)
 
 
 class TestValidation:
@@ -210,9 +207,3 @@ class TestValidation:
             FastCore(line2_topology, line2_catalog, 2).set_columns([(1, 1), (1, 2)])
         # A rejected placement leaves the state as it was.
         assert core.columns() == ((1,), (1,))
-
-    def test_bad_modes(self, line2_topology, line2_catalog):
-        with pytest.raises(ValueError):
-            FastCore(line2_topology, line2_catalog, 1, rate_source="psychic")
-        with pytest.raises(ValueError):
-            FastCore(line2_topology, line2_catalog, 1, est_scope="global")

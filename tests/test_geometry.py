@@ -29,6 +29,12 @@ class TestFromSegments:
     def test_rejects_bad_bs_index(self):
         with pytest.raises(ValueError):
             gc.from_segments(2, {(1, 3): 1.0})
+        # Station counts and ids are integers: 2.0 stations, or a station 1.0
+        # that would index a list, are rejected.
+        with pytest.raises(ValueError):
+            gc.from_segments(2.0, {(1,): 1.0})
+        with pytest.raises(ValueError):
+            gc.from_segments(2, {(1.0, 2): 1.0})
 
     def test_rejects_negative_area(self):
         with pytest.raises(ValueError):

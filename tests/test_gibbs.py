@@ -278,7 +278,7 @@ class TestExpectedHitRate:
         instances = [(line2_topology, line2_catalog, 1), (*three_stations(6), 2)]
         instances += [random_instance(rng) for _ in range(10)]
         for top, cat, k in instances:
-            assert expected_hit_rates(top, cat, k, betas) == [
+            assert expected_hit_rates(state_rates(top, cat, k)[1], betas) == [
                 gc.expected_hit_rate(top, cat, k, b) for b in betas
             ]
 
@@ -287,7 +287,7 @@ class TestExpectedHitRate:
             with pytest.raises(ValueError):
                 exact(line2_topology, line2_catalog, 1, -0.5)
         with pytest.raises(ValueError):
-            expected_hit_rates(line2_topology, line2_catalog, 1, [1.0, -0.5])
+            expected_hit_rates(state_rates(line2_topology, line2_catalog, 1)[1], [1.0, -0.5])
 
 
 class TestBitmaskLaw:
