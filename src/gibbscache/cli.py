@@ -148,27 +148,14 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> None:
         "mean_hit_rate_time_avg": mean_rate,
         "runs": summaries,
     }
-    rows = [
-        [s["seed"], s["requests"], s["hits"], s["hit_rate_time_avg"], s["hit_rate_final_third"]]
-        for s in summaries
-    ]
+    header = ["seed", "requests", "hits", "hit_rate_time_avg", "hit_rate_final_third"]
+    rows = [[s[name] for name in header] for s in summaries]
     if args.out_dir:
         _atomic_write(Path(args.out_dir) / "summary.json", json.dumps(payload, indent=2))
         if args.format == "csv":
-            _atomic_write(
-                Path(args.out_dir) / "simulate.csv",
-                _csv_text(
-                    ["seed", "requests", "hits", "hit_rate_time_avg", "hit_rate_final_third"],
-                    rows,
-                ),
-            )
+            _atomic_write(Path(args.out_dir) / "simulate.csv", _csv_text(header, rows))
     else:
-        _emit(
-            payload,
-            ["seed", "requests", "hits", "hit_rate_time_avg", "hit_rate_final_third"],
-            rows,
-            args,
-        )
+        _emit(payload, header, rows, args)
 
 
 def _parse_betas(text: str) -> list[float]:

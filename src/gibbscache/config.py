@@ -53,16 +53,35 @@ class ExperimentConfig:
 
 
 def _field(sec: dict, path: str, name: str, default: Any, ok: Callable[[Any], bool], want: str):
-    """Field ``name`` of the section ``sec`` at ``path``, checked by ``ok``;
-    ``want`` says what passes.  An absent field takes ``default``, or is
-    missing when ``default`` is None."""
+    """Field ``name``, popped from the copy ``sec`` of the object at ``path``
+    and checked by ``ok``; ``want`` says what passes.  An absent field takes
+    ``default``, or is missing when ``default`` is None."""
     if name not in sec:
         if default is None:
             raise ConfigError(f"{path}.{name}", "missing required field", "add it to the config")
         return default
-    if not ok(sec[name]):
-        raise ConfigError(f"{path}.{name}", f"must be {want}, got {json.dumps(sec[name])}")
-    return sec[name]
+    value = sec.pop(name)
+    if not ok(value):
+        raise ConfigError(f"{path}.{name}", f"must be {want}, got {json.dumps(value)}")
+    return value
+
+
+def _section(parent: dict, path: str, opened: list) -> dict:
+    """A copy of the object at ``path``, popped from the copy ``parent``; the
+    copy joins ``opened``, the objects whose unread keys are rejected."""
+    sec = parent.pop(path.rpartition(".")[2], {})
+    if not isinstance(sec, dict):
+        raise ConfigError(path, "must be a JSON object")
+    opened.append((path, dict(sec)))
+    return opened[-1][1]
+
+
+def _reject_unread(opened: list) -> None:
+    for path, sec in opened:
+        for key in sec:
+            raise ConfigError(
+                f"{path}.{key}" if path else key, "unknown key", "remove it or correct its name"
+            )
 
 
 def _reals(values: Any) -> bool:
@@ -84,38 +103,39 @@ POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite nu
 BOOL = (lambda v: type(v) is bool, "true or false")
 
 
-def _build_topology(data: dict) -> CellTopology:
-    topo = data.get("topology", {})
+def _build_topology(topo: dict, opened: list) -> CellTopology:
     modes = [m for m in ("segments", "intervals", "discs") if m in topo]
+    if not modes:
+        _reject_unread([("topology", topo)])
     if len(modes) != 1:
         raise ConfigError(
             "topology",
             f"expected exactly one of segments/intervals/discs, found {modes or 'none'}",
             "pick a single topology mode",
         )
-    path, spec = f"topology.{modes[0]}", topo[modes[0]]
+    path = f"topology.{modes[0]}"
+    spec = topo.pop("intervals") if modes == ["intervals"] else _section(topo, path, opened)
     try:
         if path == "topology.intervals":
             intervals = [tuple(iv) for iv in spec]
             _finite([*chain.from_iterable(intervals)])
             return geometry.from_intervals(intervals)
         if path == "topology.segments":
-            areas = {frozenset(entry["subset"]): entry["area"] for entry in spec["areas"]}
+            areas = {frozenset(entry["subset"]): entry["area"] for entry in spec.pop("areas")}
             _finite([spec["n_bs"], *areas.values(), *chain.from_iterable(areas)])
-            return geometry.from_segments(spec["n_bs"], areas)
-        centers = [tuple(c) for c in spec["centers"]]
+            return geometry.from_segments(spec.pop("n_bs"), areas)
+        centers = [tuple(c) for c in spec.pop("centers")]
         _finite([*chain.from_iterable(centers), *spec["radii"], spec["grid_step"]])
-        return geometry.from_discs(centers, spec["radii"], spec["grid_step"])
+        return geometry.from_discs(centers, spec.pop("radii"), spec.pop("grid_step"))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(path, str(exc), "fix the topology entry") from exc
 
 
 def build_config(data: dict) -> ExperimentConfig:
     """Validate a parsed config dict and assemble the experiment object."""
-    for name in ("topology", "catalog", "cache", "gibbs", "traffic", "schedule", "sim"):
-        if not isinstance(data.get(name, {}), dict):
-            raise ConfigError(name, "must be a JSON object")
-    top = _build_topology(data)
+    data = dict(data)
+    opened = [("", data)]
+    top = _build_topology(_section(data, "topology", opened), opened)
     if not top.segment_areas:
         raise ConfigError(
             "topology",
@@ -123,14 +143,14 @@ def build_config(data: dict) -> ExperimentConfig:
             "give at least one segment a positive area",
         )
 
-    sec = data.get("catalog", {})
+    sec = _section(data, "catalog", opened)
     intensities = _field(sec, "catalog", "intensities", None, _reals, "a list of finite numbers")
     try:
         cat = ContentCatalog(tuple(intensities))
     except ValueError as exc:
         raise ConfigError("catalog.intensities", str(exc), "use positive finite rates") from exc
 
-    sec = data.get("cache", {})
+    sec = _section(data, "cache", opened)
     cache_size = _field(
         sec, "cache", "capacity", None, lambda v: type(v) is int and v >= 1, "an integer >= 1"
     )
@@ -141,7 +161,7 @@ def build_config(data: dict) -> ExperimentConfig:
             "shrink the cache or grow the catalog",
         )
 
-    sec = data.get("gibbs", {})
+    sec = _section(data, "gibbs", opened)
     gparams = GibbsParams(
         mode=_field(sec, "gibbs", "mode", "fixed", ("fixed", "annealed").__contains__,
                     '"fixed" or "annealed"'),
@@ -152,7 +172,7 @@ def build_config(data: dict) -> ExperimentConfig:
     )
     learning = _field(sec, "gibbs", "learning", False, *BOOL)
 
-    traffic = data.get("traffic", {})
+    traffic = _section(data, "traffic", opened)
     eta = float(_field(traffic, "traffic", "eta", 0.0,
                        lambda v: type(v) in (int, float) and 0 <= v < 1, "a number in [0, 1)"))
     if eta == 0.0:
@@ -165,9 +185,7 @@ def build_config(data: dict) -> ExperimentConfig:
                 "set traffic.eta to a small positive value, e.g. 0.01",
             )
 
-    sec = _field(
-        traffic, "traffic", "estimator", {}, lambda v: isinstance(v, dict), "a JSON object"
-    )
+    sec = _section(traffic, "traffic.estimator", opened)
     est = EstimatorConfig(
         c0=float(_field(sec, "traffic.estimator", "c0", 1.0, *POSITIVE)),
         t0=float(_field(sec, "traffic.estimator", "t0", 1.0, *POSITIVE)),
@@ -181,7 +199,7 @@ def build_config(data: dict) -> ExperimentConfig:
             "set traffic.eta > 0",
         )
 
-    sec = data.get("schedule", {})
+    sec = _section(data, "schedule", opened)
     kind = _field(sec, "schedule", "kind", "linear", ("linear", "geometric").__contains__,
                   '"linear" or "geometric"')
     t1 = float(_field(sec, "schedule", "t1", 10.0, *POSITIVE))
@@ -189,7 +207,7 @@ def build_config(data: dict) -> ExperimentConfig:
                          lambda v: _reals([v]) and (v > 1 or kind == "linear"),
                          "a finite number, > 1 for geometric growth"))
 
-    sec = data.get("sim", {})
+    sec = _section(data, "sim", opened)
     cfg = ExperimentConfig(
         topology=top,
         catalog=cat,
@@ -209,6 +227,7 @@ def build_config(data: dict) -> ExperimentConfig:
         record_events=_field(sec, "sim", "record_events", False, *BOOL),
         record_slots=_field(sec, "sim", "record_slots", False, *BOOL),
     )
+    _reject_unread(opened)
 
     if gparams.mode == "annealed":
         _check_annealing(cfg)

@@ -17,6 +17,7 @@ from typing import Sequence
 from .config import EstimatorConfig
 from .geometry import CellTopology
 from .model import ContentCatalog
+from .realcache import most_popular_columns
 
 
 def _lex_sample(a: list[float], k: int, u: float) -> tuple[int, ...]:
@@ -103,7 +104,7 @@ class FastCore:
         self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
         # Chain state: a sorted 1-based content tuple per station.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.set_columns([range(1, self.k + 1)] * self.n_bs)
+        self.set_columns([most_popular_columns(lam, cache_size)] * self.n_bs)
 
     # -- placement state ---------------------------------------------------
 

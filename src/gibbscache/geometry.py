@@ -130,6 +130,8 @@ def from_discs(
         raise ValueError("centers and radii must have the same length")
     if not centers:
         raise ValueError("need at least one disc")
+    if not all(map(math.isfinite, [*(x for c in centers for x in c), *radii, grid_step])):
+        raise ValueError("centers, radii and grid_step must be finite")
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if any(r <= 0 for r in radii):

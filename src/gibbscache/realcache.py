@@ -13,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .model import Placement
 from .traffic import RequestEvent
 
@@ -65,7 +63,7 @@ class SnapshotSchedule:
 
 @dataclass(frozen=True)
 class RealState:
-    """Serving caches, their reference virtual snapshot, and current time.
+    """Serving caches and their reference virtual snapshot.
 
     Real columns may transiently hold fewer than K contents right after a
     snapshot change evicts more than one stale content.
@@ -73,13 +71,10 @@ class RealState:
 
     placement: Placement
     snapshot: Placement
-    time: float = 0.0
     snapshot_time: float = 0.0
 
 
-def on_request(
-    real: RealState, vsnap: Placement, req: RequestEvent, serving_bs: int
-) -> tuple[bool, RealState]:
+def on_request(real: RealState, req: RequestEvent, serving_bs: int) -> tuple[bool, RealState]:
     """Serve one request at ``serving_bs`` and apply the miss-store rule.
 
     On a miss the content is stored iff the snapshot lists it for that
@@ -88,16 +83,17 @@ def on_request(
     i = req.content - 1
     j = serving_bs - 1
     mat = real.placement.matrix
+    snap = real.snapshot.matrix
     if mat[i, j]:
-        return True, replace(real, time=req.time)
-    if not vsnap.matrix[i, j]:
-        return False, replace(real, time=req.time)
+        return True, real
+    if not snap[i, j]:
+        return False, real
     new = mat.copy()
-    stale = (vsnap.matrix[:, j] == 0) & (new[:, j] == 1)
+    stale = (snap[:, j] == 0) & (new[:, j] == 1)
     new[stale, j] = 0
     new[i, j] = 1
     placement = Placement(new, real.placement.cache_size, strict=False)
-    return False, replace(real, placement=placement, time=req.time)
+    return False, replace(real, placement=placement)
 
 
 def refresh_snapshot(
@@ -111,8 +107,8 @@ def refresh_snapshot(
     """
     _, zeta = sched.kappa_zeta(tau)
     if zeta > real.snapshot_time:
-        return replace(real, snapshot=virtual, time=tau, snapshot_time=zeta)
-    return replace(real, time=tau)
+        return replace(real, snapshot=virtual, snapshot_time=zeta)
+    return real
 
 
 def most_popular_columns(intensities: tuple[float, ...], cache_size: int) -> tuple[int, ...]:

@@ -28,7 +28,6 @@ from .engine import FastCore
 from .gibbs import GibbsParams, StateKey
 from .model import ContentCatalog, mask_hit_rate
 from .geometry import CellTopology
-from .realcache import most_popular_columns
 
 _INF = float("inf")
 
@@ -111,42 +110,41 @@ class SimTrace:
             )
         return range(lo, hi)
 
+    def _law(self, per_window: list[dict], start_fraction: float, stop_fraction: float) -> dict:
+        acc: dict = {}
+        for w in self._window_range(start_fraction, stop_fraction):
+            for key, x in per_window[w].items():
+                acc[key] = acc.get(key, 0) + x
+        total = sum(acc.values())
+        return {k: v / total for k, v in acc.items()}
+
+    def _per_time(self, per_window: list, start_fraction: float, stop_fraction: float) -> float:
+        windows = self._window_range(start_fraction, stop_fraction)
+        return sum(per_window[w] for w in windows) / (len(windows) * self.window_len)
+
     def real_occupancy(
         self, start_fraction: float = 0.0, stop_fraction: float = 1.0
     ) -> dict[StateKey, float]:
         """Time-fraction the real caches spent in each configuration."""
-        acc: dict[StateKey, float] = {}
-        for w in self._window_range(start_fraction, stop_fraction):
-            for key, dt in self.real_occ[w].items():
-                acc[key] = acc.get(key, 0.0) + dt
-        total = sum(acc.values())
-        return {k: v / total for k, v in acc.items()}
+        return self._law(self.real_occ, start_fraction, stop_fraction)
 
     def virtual_occupancy(
         self, start_fraction: float = 0.0, stop_fraction: float = 1.0
     ) -> dict[StateKey, float]:
         """Fraction of virtual slots spent in each configuration."""
-        acc: Counter = Counter()
-        for w in self._window_range(start_fraction, stop_fraction):
-            acc.update(self.v_counts[w])
-        total = sum(acc.values())
-        return {k: v / total for k, v in acc.items()}
+        return self._law(self.v_counts, start_fraction, stop_fraction)
 
     def time_average_hit_rate(
         self, start_fraction: float = 0.0, stop_fraction: float = 1.0
     ) -> float:
         """Time average of h(R(tau)) over the selected span."""
-        windows = self._window_range(start_fraction, stop_fraction)
-        span = len(windows) * self.window_len
-        return sum(self.h_integral[w] for w in windows) / span
+        return self._per_time(self.h_integral, start_fraction, stop_fraction)
 
     def empirical_hit_rate(
         self, start_fraction: float = 0.0, stop_fraction: float = 1.0
     ) -> float:
         """Observed cache hits per unit time over the selected span."""
-        windows = self._window_range(start_fraction, stop_fraction)
-        span = len(windows) * self.window_len
-        return sum(self.hits[w] for w in windows) / span
+        return self._per_time(self.hits, start_fraction, stop_fraction)
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -193,7 +191,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     horizon = config.horizon
     n_windows = config.n_windows
     wlen = horizon / n_windows
-    gparams = config.gibbs
     eta = config.eta
 
     # Arrival marks: running sums of popularity and segment area, as in
@@ -205,19 +202,15 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     total_rate = total_lam * total_area
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
-    # Hit rate of a (possibly under-full) real configuration from its
-    # per-station content bitmasks.
-    real_h = mask_hit_rate(top, cat)
 
-    # Initial placements: K most popular contents everywhere.
-    init_col = most_popular_columns(lam, config.cache_size)
-    core.set_columns([init_col] * n_bs)
-    v_key = core.columns()
-    real_sets = [set(init_col) for _ in range(n_bs)]
-    real_masks = [sum(1 << (i - 1) for i in col) for col in [init_col] * n_bs]
-    real_key: StateKey = tuple(tuple(sorted(s)) for s in real_sets)
-    snap_sets = [set(c) for c in v_key]
-    cur_h = real_h(real_masks)
+    # Real caches and the snapshot as per-station content bitmasks, both from
+    # FastCore's start; real_key holds the real columns as sorted tuples.
+    real_h = mask_hit_rate(top, cat)  # under-full columns included
+    v_key = snap_key = real_key = core.columns()
+    snap = [sum(1 << (i - 1) for i in col) for col in snap_key]
+    real = snap[:]  # a copy: a store must not write the snapshot
+    real_cols = list(real_key)
+    cur_h = real_h(real)
     hit_memo: dict[StateKey, float] = {real_key: cur_h}
 
     sched = config.make_schedule()
@@ -253,7 +246,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     next_slot = spacing
     last_change = 0.0
     tau = 0.0
-    beta_at = gparams.beta_at
+    beta_at = config.gibbs.beta_at
     beta = beta_at(0, n_bs)
     # Non-exploring server pool per (segment, content), keyed q * m + i0; a
     # pool changes only when a real cache does.
@@ -271,7 +264,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             t_snap = next_boundary
             t_slot = next_slot
             if t_snap <= limit and t_snap <= t_slot:
-                snap_sets = [set(c) for c in v_key]
+                snap_key = v_key
+                snap = [sum(1 << (i - 1) for i in col) for col in snap_key]
                 snapshots.append((t_snap, v_key))
                 next_boundary_idx += 1
                 next_boundary = sched.boundary(next_boundary_idx)
@@ -302,7 +296,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         q = bisect.bisect_right(cum_area, v)
         if q >= n_seg:
             q = n_seg - 1
-        content = i0 + 1
+        bit = 1 << i0
 
         # Serving-station selection.
         covering = seg_bs[q]
@@ -312,7 +306,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         else:
             pool = pools.get(q * m + i0)
             if pool is None:
-                pool = [j for j in covering if content in real_sets[j - 1]] or covering
+                pool = [j for j in covering if real[j - 1] & bit] or covering
                 pools[q * m + i0] = pool
         j = pool[server_randrange(len(pool))] if len(pool) > 1 else pool[0]
         if learning:
@@ -320,28 +314,26 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
         # Real-cache update.
         w = min(int(tau / wlen), n_windows - 1)
-        if content in real_sets[j - 1]:
+        if real[j - 1] & bit:
             hits[w] += 1
             action = "hit"
         else:
             misses[w] += 1
             action = "miss"
-            if content in snap_sets[j - 1]:
-                new_set = (real_sets[j - 1] & snap_sets[j - 1]) | {content}
-                if new_set != real_sets[j - 1]:
-                    add_real_time(last_change, tau, real_key, cur_h)
-                    last_change = tau
-                    real_sets[j - 1] = new_set
-                    pools.clear()
-                    real_masks[j - 1] = sum(1 << (i - 1) for i in new_set)
-                    real_key = tuple(tuple(sorted(s)) for s in real_sets)
-                    cur_h = hit_memo.get(real_key)
-                    if cur_h is None:
-                        cur_h = real_h(real_masks)
-                        hit_memo[real_key] = cur_h
-                    action = "store"
+            if snap[j - 1] & bit:
+                # Store the content; evict what the snapshot dropped.
+                add_real_time(last_change, tau, real_key, cur_h)
+                last_change = tau
+                new = real[j - 1] = real[j - 1] & snap[j - 1] | bit
+                real_cols[j - 1] = tuple(i for i in snap_key[j - 1] if new >> (i - 1) & 1)
+                real_key = tuple(real_cols)
+                pools.clear()
+                cur_h = hit_memo.get(real_key)
+                if cur_h is None:
+                    cur_h = hit_memo[real_key] = real_h(real)
+                action = "store"
         if events is not None:
-            events.append((tau, content, tuple(covering), j, action))
+            events.append((tau, i0 + 1, tuple(covering), j, action))
 
     add_real_time(last_change, horizon, real_key, cur_h)
 
@@ -387,7 +379,9 @@ def run_chain(
     record_at: set[int] | None = None,
     initial: StateKey | None = None,
 ) -> tuple[dict[int, StateKey], Counter, StateKey]:
-    """Advance the virtual chain alone for ``n_slots`` updates.
+    """Advance the virtual chain alone for ``n_slots`` updates, from
+    ``initial`` or else from FastCore's start (the K most popular contents
+    at every station).
 
     Returns configurations sampled at the requested slot indices (state
     after that update), occupancy counts over all slots, and the final
@@ -396,9 +390,8 @@ def run_chain(
     rngs = substreams(seed)
     r_bs, r_col = rngs["bs-pick"], rngs["column-sample"]
     core = FastCore(top, cat, cache_size)
-    if initial is None:
-        initial = tuple([most_popular_columns(cat.intensities, cache_size)] * top.n_bs)
-    core.set_columns(initial)
+    if initial is not None:
+        core.set_columns(initial)
     samples: dict[int, StateKey] = {}
     occupancy: Counter = Counter()
     for t in range(n_slots):

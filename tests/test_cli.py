@@ -209,6 +209,7 @@ class TestExitCodes:
                                         "grid_step": 0.1}}},
                 "topology.discs",
             ),
+            ({"sim": {"horizn": 5}}, "sim.horizn"),
         ],
     )
     def test_bad_config_value(self, over, field, tmp_path, capsys):

@@ -205,6 +205,43 @@ class TestBadValues:
         assert not wrong
 
 
+TOPOLOGIES = {
+    "topology.segments": {
+        "segments": {
+            "n_bs": 2,
+            "areas": [{"subset": [1], "area": 1.0}, {"subset": [1, 2], "area": 5.0},
+                      {"subset": [2], "area": 4.0}],
+        }
+    },
+    "topology.discs": {
+        "discs": {"centers": [[0.0, 0.0], [1.5, 0.0]], "radii": [1.0, 1.0], "grid_step": 0.1}
+    },
+}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "path",
+        ["", "topology", *TOPOLOGIES, "catalog", "cache", "gibbs", "traffic",
+         "traffic.estimator", "schedule", "sim"],
+    )
+    def test_unknown_key_is_named(self, path):
+        data = every_field_set()
+        if path in TOPOLOGIES:
+            data["topology"] = copy.deepcopy(TOPOLOGIES[path])
+        before = copy.deepcopy(data)
+        gc.build_config(data)
+        assert data == before  # reading a config leaves it as it was
+        section = data
+        for name in filter(None, path.split(".")):
+            section = section[name]
+        section["horizn"] = 5
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == f"{path}.horizn".lstrip(".")
+        assert "unknown key" in str(exc.value)
+
+
 class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -164,6 +164,14 @@ class TestFromDiscs:
         with pytest.raises(ValueError):
             gc.from_discs([], [], 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y", "radius", "grid_step"])
+    def test_non_finite_rejected(self, where, bad):
+        args = {"x": 0.0, "y": 0.0, "radius": 1.0, "grid_step": 0.1}
+        args[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gc.from_discs([(args["x"], args["y"])], [args["radius"]], args["grid_step"])
+
 
 class TestNeighbors:
     def test_two_station_overlap(self, line2_topology):

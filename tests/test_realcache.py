@@ -5,11 +5,10 @@ from gibbscache.realcache import most_popular_columns
 from gibbscache.traffic import RequestEvent
 
 
-def _real(cols, snap_cols, m=3, k=1, time=0.0, snap_time=0.0):
+def _real(cols, snap_cols, m=3, k=1, snap_time=0.0):
     return gc.RealState(
         placement=gc.Placement.from_columns(m, cols, k, strict=False),
         snapshot=gc.Placement.from_columns(m, snap_cols, k),
-        time=time,
         snapshot_time=snap_time,
     )
 
@@ -78,15 +77,14 @@ class TestOnRequest:
     def test_hit_leaves_cache(self):
         real = _real([(1,), (2,)], [(3,), (3,)])
         req = RequestEvent(1.5, 1, frozenset({1}))
-        hit, nxt = gc.on_request(real, real.snapshot, req, 1)
+        hit, nxt = gc.on_request(real, req, 1)
         assert hit
         assert nxt.placement.columns() == ((1,), (2,))
-        assert nxt.time == 1.5
 
     def test_miss_without_snapshot_backing_no_store(self):
         real = _real([(1,), (2,)], [(3,), (3,)])
         req = RequestEvent(2.0, 2, frozenset({1}))  # station 1 lacks content 2
-        hit, nxt = gc.on_request(real, real.snapshot, req, 1)
+        hit, nxt = gc.on_request(real, req, 1)
         assert not hit
         assert nxt.placement.columns() == ((1,), (2,))
 
@@ -95,14 +93,14 @@ class TestOnRequest:
         # it and evicts content 1, which the snapshot no longer lists.
         real = _real([(1,), (2,)], [(3,), (3,)])
         req = RequestEvent(2.0, 3, frozenset({1}))
-        hit, nxt = gc.on_request(real, real.snapshot, req, 1)
+        hit, nxt = gc.on_request(real, req, 1)
         assert not hit
         assert nxt.placement.columns() == ((3,), (2,))
 
     def test_store_keeps_snapshot_backed_contents(self):
         real = _real([(1, 2), (2, 3)], [(1, 3), (2, 3)], m=3, k=2)
         req = RequestEvent(4.0, 3, frozenset({1}))
-        hit, nxt = gc.on_request(real, real.snapshot, req, 1)
+        hit, nxt = gc.on_request(real, req, 1)
         assert not hit
         # Content 1 is still in the snapshot so it stays; content 2 goes.
         assert nxt.placement.columns() == ((1, 3), (2, 3))
@@ -112,19 +110,19 @@ class TestOnRequest:
         # Request content 4 at station 1: snapshot lacks it, nothing happens;
         # request content 3: installs 3, evicts 2, keeps 1 -> still 2 entries.
         req = RequestEvent(4.0, 4, frozenset({1}))
-        _, nxt = gc.on_request(real, real.snapshot, req, 1)
+        _, nxt = gc.on_request(real, req, 1)
         assert nxt.placement.columns() == ((1, 2), (2, 3))
         # Now shrink: snapshot for station 1 is {3, 4}, cached {1, 2} both stale.
         real2 = _real([(1, 2), (2, 3)], [(3, 4), (2, 3)], m=4, k=2)
         req2 = RequestEvent(5.0, 4, frozenset({1}))
-        hit, nxt2 = gc.on_request(real2, real2.snapshot, req2, 1)
+        hit, nxt2 = gc.on_request(real2, req2, 1)
         assert not hit
         assert nxt2.placement.columns() == ((4,), (2, 3))  # transiently under-full
 
     def test_other_stations_untouched(self):
         real = _real([(1,), (2,)], [(3,), (1,)])
         req = RequestEvent(1.0, 3, frozenset({1, 2}))
-        _, nxt = gc.on_request(real, real.snapshot, req, 1)
+        _, nxt = gc.on_request(real, req, 1)
         assert nxt.placement.columns()[1] == (2,)
 
 
@@ -136,7 +134,6 @@ class TestRefreshSnapshot:
         nxt = gc.refresh_snapshot(real, virtual, 5.0, sched)
         assert nxt.snapshot.columns() == ((1,), (2,))
         assert nxt.snapshot_time == 0.0
-        assert nxt.time == 5.0
 
     def test_boundary_adopts_virtual(self):
         sched = gc.SnapshotSchedule("linear", 10.0)

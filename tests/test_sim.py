@@ -185,7 +185,7 @@ def _replay(cfg, trace):
         real = gc.refresh_snapshot(real, virtual, req.time, sched)
         j = gc.assign_server(req, real.placement, rngs["server-pick"], cfg.eta)
         met.append(real.placement)
-        hit, real = gc.on_request(real, real.snapshot, req, j)
+        hit, real = gc.on_request(real, req, j)
         action = "hit" if hit else "miss" if real.placement == met[-1] else "store"
         events.append((req.time, req.content, tuple(sorted(req.segment)), j, action))
         req = gc.next_request(marks, top, cat, req.time)
@@ -221,13 +221,32 @@ def _replay_config(name, line2_config):
                 },
             }
         )
+    if name == "line3-stores":
+        # Three stations, M = 6, K = 3, beta = 0 and short epochs: about one
+        # store per eight requests, and columns left under-full.
+        return gc.build_config(
+            {
+                "topology": {"intervals": [[0, 6], [1, 10], [8, 15]]},
+                "catalog": {"intensities": [0.1 / i for i in range(1, 7)]},
+                "cache": {"capacity": 3},
+                "gibbs": {"mode": "fixed", "beta": 0},
+                "schedule": {"kind": "linear", "t1": 0.05},
+                "traffic": {"eta": 0.05},
+                "sim": {
+                    "horizon": 800.0,
+                    "slot_spacing": 0.5,
+                    "record_events": True,
+                    "record_slots": True,
+                },
+            }
+        )
     over = {"eta": 0.05, "learning": True} if name == "line2-explore-learn" else {}
     return _cfg(line2_config, horizon=3000.0, record_events=True, record_slots=True, **over)
 
 
 class TestReplay:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("name", ["line2", "line2-explore-learn", "hex7"])
+    @pytest.mark.parametrize("name", ["line2", "line2-explore-learn", "hex7", "line3-stores"])
     def test_request_api_reproduces_run(self, name, seed, line2_config):
         cfg = _replay_config(name, line2_config)
         trace = gc.run(cfg, seed=seed)
@@ -243,6 +262,9 @@ class TestReplay:
         assert events == trace.events
         actions = {e[4] for e in events}
         assert {"hit", "miss", "store"} <= actions
+        if name == "line3-stores":
+            assert sum(e[4] == "store" for e in events) >= 0.1 * len(events)
+            assert any(len(col) < cfg.cache_size for key in trace.hit_rates for col in key)
         hits = [0] * trace.n_windows
         misses = [0] * trace.n_windows
         for tau, _, _, _, action in events:
