@@ -121,7 +121,9 @@ def _build_topology(topo: dict, opened: list) -> CellTopology:
             _finite([*chain.from_iterable(intervals)])
             return geometry.from_intervals(intervals)
         if path == "topology.segments":
-            areas = {frozenset(entry["subset"]): entry["area"] for entry in spec.pop("areas")}
+            entries = [{**entry} for entry in spec.pop("areas")]
+            opened.extend(("topology.segments.areas", entry) for entry in entries)
+            areas = {frozenset(entry.pop("subset")): entry.pop("area") for entry in entries}
             _finite([spec["n_bs"], *areas.values(), *chain.from_iterable(areas)])
             return geometry.from_segments(spec.pop("n_bs"), areas)
         centers = [tuple(c) for c in spec.pop("centers")]

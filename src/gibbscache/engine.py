@@ -1,12 +1,13 @@
 """Optimized single-site sampler core shared by chain runs and the coupled
 simulation.
 
-Keeps incremental per-(segment, content) storage counts.  The local energy
-is additive over a column's contents, so the Gibbs conditional over K-subsets
-is a product-weight design (conditional Poisson sampling), sampled exactly
-without enumerating candidates: one update costs O(|segments containing j| *
-M + M * K) for any catalog size.  The public, readable formulas live in
-``model`` and ``gibbs``; tests assert this core agrees with them exactly.
+Keeps one content bitmask per station as its only derived state.  The local
+energy is additive over a column's contents, so the Gibbs conditional over
+K-subsets is a product-weight design (conditional Poisson sampling), sampled
+exactly without enumerating candidates: one update costs O(|segments
+containing j| * M + M * K) for any catalog size.  The public, readable
+formulas live in ``model`` and ``gibbs``; tests assert this core agrees with
+them exactly.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class FastCore:
         self.segments = list(top.segment_areas.items())  # in the canonical order
         self.seg_areas = [a for _, a in self.segments]
         self.seg_bs = [sorted(s) for s, _ in self.segments]  # 1-based ids
-        self.segs_of_bs: list[list[int]] = [[] for _ in range(self.n_bs)]
-        for q, (s, _) in enumerate(self.segments):
-            for j in s:
-                self.segs_of_bs[j - 1].append(q)
+        # Per station: (segment, the other stations covering it, 0-based).
+        self.neighbours = [
+            [(q, [b - 1 for b in bs if b != j]) for q, bs in enumerate(self.seg_bs) if j in bs]
+            for j in range(1, self.n_bs + 1)
+        ]
         lam = cat.intensities
         self.true_rates = [
             [lam[i] * area for i in range(self.m)] for area in self.seg_areas
@@ -102,7 +104,7 @@ class FastCore:
             for _ in range(self.n_bs if self.local else 1)
         ]
         self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
-        # Chain state: a sorted 1-based content tuple per station.
+        # Chain state: per station, a sorted 1-based content tuple and its bitmask.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.set_columns([most_popular_columns(lam, cache_size)] * self.n_bs)
 
@@ -119,16 +121,7 @@ class FastCore:
                 raise ValueError(f"column {key} is not a K-subset of the catalog")
         self.col = cols
         self._key = tuple(cols)  # what columns() returns until a column changes
-        self._rebuild_counts()
-
-    def _rebuild_counts(self) -> None:
-        self.counts = []
-        for bs in self.seg_bs:
-            cnt = [0] * self.m
-            for j in bs:
-                for i in self.col[j - 1]:
-                    cnt[i - 1] += 1
-            self.counts.append(cnt)
+        self.masks = [sum(1 << (i - 1) for i in key) for key in cols]  # bit i - 1: content i
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Current placement as per-station 1-based content tuples."""
@@ -164,27 +157,27 @@ class FastCore:
         depend on c.
         """
         m = self.m
-        own = [0] * m
-        for i in self.col[j0]:
-            own[i - 1] = 1
+        masks = self.masks
         g = [0.0] * m
         est = self.estimator
         if est is not None:
             table = self.est_counts[j0 if self.local else 0]
             inv = 1.0 / (now + est.t0)
             c0 = est.c0
-        for q in self.segs_of_bs[j0]:
-            cnt = self.counts[q]
+        for q, others in self.neighbours[j0]:
+            held = 0  # what the other stations of segment q store
+            for j in others:
+                held |= masks[j]
             if est is None:
                 w = self.true_rates[q]
                 for i in range(m):
-                    if cnt[i] == own[i]:
+                    if not held >> i & 1:
                         g[i] += w[i]
             else:
                 n = table[q]
                 scale = self.est_scale[q]
                 for i in range(m):
-                    if cnt[i] == own[i]:
+                    if not held >> i & 1:
                         g[i] += (n[i] * scale + c0) * inv
         return g
 
@@ -193,16 +186,10 @@ class FastCore:
         ``u`` over the lexicographic K-subsets; returns the new column.
         """
         new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
-        old = self.col[j0]
-        if new != old:
+        if new != self.col[j0]:
             # Placement keys that callers keep share one tuple per column.
             new = self._interned.setdefault(new, new)
-            for q in self.segs_of_bs[j0]:
-                cnt = self.counts[q]
-                for i in old:
-                    cnt[i - 1] -= 1
-                for i in new:
-                    cnt[i - 1] += 1
+            self.masks[j0] = sum(1 << (i - 1) for i in new)
             self.col[j0] = new
             self._key = tuple(self.col)
         return self.col[j0]

@@ -203,11 +203,11 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
 
-    # Real caches and the snapshot as per-station content bitmasks, both from
-    # FastCore's start; real_key holds the real columns as sorted tuples.
+    # Real caches and the snapshot as per-station content bitmasks copied from
+    # FastCore's; real_key holds the real columns as sorted tuples.
     real_h = mask_hit_rate(top, cat)  # under-full columns included
-    v_key = snap_key = real_key = core.columns()
-    snap = [sum(1 << (i - 1) for i in col) for col in snap_key]
+    v_key = real_key = core.columns()
+    snap = core.masks[:]  # a copy: a step must not write the snapshot
     real = snap[:]  # a copy: a store must not write the snapshot
     real_cols = list(real_key)
     cur_h = real_h(real)
@@ -264,8 +264,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             t_snap = next_boundary
             t_slot = next_slot
             if t_snap <= limit and t_snap <= t_slot:
-                snap_key = v_key
-                snap = [sum(1 << (i - 1) for i in col) for col in snap_key]
+                snap = core.masks[:]
                 snapshots.append((t_snap, v_key))
                 next_boundary_idx += 1
                 next_boundary = sched.boundary(next_boundary_idx)
@@ -325,7 +324,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 add_real_time(last_change, tau, real_key, cur_h)
                 last_change = tau
                 new = real[j - 1] = real[j - 1] & snap[j - 1] | bit
-                real_cols[j - 1] = tuple(i for i in snap_key[j - 1] if new >> (i - 1) & 1)
+                real_cols[j - 1] = tuple(i + 1 for i in range(m) if new >> i & 1)
                 real_key = tuple(real_cols)
                 pools.clear()
                 cur_h = hit_memo.get(real_key)
@@ -337,11 +336,13 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     add_real_time(last_change, horizon, real_key, cur_h)
 
-    # The shared table, or station 1's view under local scope.
+    # The shared table, or under local scope each segment's row in the table
+    # of its lowest-numbered covering station.
+    tables = [bs[0] - 1 if core.local else 0 for bs in seg_bs]
     estimator = [
         EstimatorSnapshot(
-            i0 + 1, tuple(seg_bs[q]), core.est_counts[0][q][i0],
-            core.theta(q, i0, horizon), core.true_rates[q][i0],
+            i0 + 1, tuple(seg_bs[q]), core.est_counts[tables[q]][q][i0],
+            core.theta(q, i0, horizon, tables[q]), core.true_rates[q][i0],
         )
         for q in range(n_seg)
         for i0 in range(m)

@@ -210,6 +210,11 @@ class TestExitCodes:
                 "topology.discs",
             ),
             ({"sim": {"horizn": 5}}, "sim.horizn"),
+            (
+                {"topology": {"segments": {"n_bs": 1, "areas": [
+                    {"subset": [1], "area": 2.0, "aera": 5.0}]}}},
+                "topology.segments.areas.aera",
+            ),
         ],
     )
     def test_bad_config_value(self, over, field, tmp_path, capsys):

@@ -217,6 +217,7 @@ TOPOLOGIES = {
         "discs": {"centers": [[0.0, 0.0], [1.5, 0.0]], "radii": [1.0, 1.0], "grid_step": 0.1}
     },
 }
+TOPOLOGIES["topology.segments.areas"] = TOPOLOGIES["topology.segments"]
 
 
 class TestUnknownKeys:
@@ -235,6 +236,8 @@ class TestUnknownKeys:
         section = data
         for name in filter(None, path.split(".")):
             section = section[name]
+            if isinstance(section, list):  # a list element is named by its list
+                section = section[0]
         section["horizn"] = 5
         with pytest.raises(ConfigError) as exc:
             gc.build_config(data)

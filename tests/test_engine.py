@@ -103,15 +103,21 @@ class TestExactAgreement:
                 cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
                 assert core.step(j0, beta, u) == _inverse_cdf(cands, probs, u)
 
-    def test_incremental_counts_stay_consistent(self):
+    def test_masks_stay_consistent(self):
         rng = random.Random(54)
         top, cat, k = random_instance(rng, max_n=3, max_m=4, max_k=2)
         core = FastCore(top, cat, k)
+        seen = set()
         for _ in range(300):
             core.step(rng.randrange(top.n_bs), rng.uniform(0, 5), rng.random())
-        snapshot = [c[:] for c in core.counts]
-        core._rebuild_counts()
-        assert core.counts == snapshot
+            masks = [sum(1 << (i - 1) for i in col) for col in core.columns()]
+            assert core.masks == masks
+            seen.add(core.columns())
+        assert len(seen) > 1
+        # A rejected placement leaves the masks as they were.
+        with pytest.raises(ValueError):
+            core.set_columns([range(1, k + 2)] * top.n_bs)
+        assert core.masks == masks
 
 
 class TestEstimateMode:

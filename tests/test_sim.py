@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gibbscache as gc
+from gibbscache.config import EstimatorConfig
 from gibbscache.gibbs import GibbsParams, transition_matrix
 from gibbscache.realcache import most_popular_columns
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
@@ -466,6 +467,19 @@ class TestRunStatistics:
             assert snap.theta == pytest.approx(snap.true_rate, rel=0.15)
         total_counted = sum(s.count for s in trace.estimator)
         assert total_counted == trace.total_requests
+
+    def test_local_learning_run_estimates(self, line2_config):
+        # Under local scope each segment is reported from the table of its
+        # lowest-numbered covering station, one that can serve it.
+        cfg = dataclasses.replace(
+            line2_config, learning=True, estimator=EstimatorConfig(scope="local"),
+            eta=0.1, horizon=20_000.0,
+        )
+        trace = gc.run(cfg, seed=1)
+        assert len(trace.estimator) == 6  # 3 segments x 2 contents
+        for snap in trace.estimator:
+            assert snap.count > 0
+            assert snap.theta == pytest.approx(snap.true_rate, rel=0.25)
 
     def test_real_columns_within_capacity(self, line2_config):
         cfg = dataclasses.replace(line2_config, horizon=3000.0)
