@@ -56,14 +56,19 @@ def _field(sec: dict, path: str, name: str, default: Any, ok: Callable[[Any], bo
     """Field ``name``, popped from the copy ``sec`` of the object at ``path``
     and checked by ``ok``; ``want`` says what passes.  An absent field takes
     ``default``, or is missing when ``default`` is None."""
-    if name not in sec:
-        if default is None:
-            raise ConfigError(f"{path}.{name}", "missing required field", "add it to the config")
+    if name not in sec and default is not None:
         return default
-    value = sec.pop(name)
+    value = _required(sec, path, name)
     if not ok(value):
         raise ConfigError(f"{path}.{name}", f"must be {want}, got {json.dumps(value)}")
     return value
+
+
+def _required(sec: dict, path: str, name: str) -> Any:
+    """Field ``name``, popped from the copy ``sec`` of the object at ``path``."""
+    if name not in sec:
+        raise ConfigError(f"{path}.{name}", "missing required field", "add it to the config")
+    return sec.pop(name)
 
 
 def _section(parent: dict, path: str, opened: list) -> dict:
@@ -121,14 +126,22 @@ def _build_topology(topo: dict, opened: list) -> CellTopology:
             _finite([*chain.from_iterable(intervals)])
             return geometry.from_intervals(intervals)
         if path == "topology.segments":
-            entries = [{**entry} for entry in spec.pop("areas")]
-            opened.extend(("topology.segments.areas", entry) for entry in entries)
-            areas = {frozenset(entry.pop("subset")): entry.pop("area") for entry in entries}
-            _finite([spec["n_bs"], *areas.values(), *chain.from_iterable(areas)])
-            return geometry.from_segments(spec.pop("n_bs"), areas)
-        centers = [tuple(c) for c in spec.pop("centers")]
-        _finite([*chain.from_iterable(centers), *spec["radii"], spec["grid_step"]])
-        return geometry.from_discs(centers, spec.pop("radii"), spec.pop("grid_step"))
+            n_bs = _required(spec, path, "n_bs")
+            entries = [{**entry} for entry in _required(spec, path, "areas")]
+            opened.extend((f"{path}.areas", entry) for entry in entries)
+            areas = {
+                frozenset(_required(entry, f"{path}.areas", "subset")):
+                    _required(entry, f"{path}.areas", "area")
+                for entry in entries
+            }
+            _finite([n_bs, *areas.values(), *chain.from_iterable(areas)])
+            return geometry.from_segments(n_bs, areas)
+        centers = [tuple(c) for c in _required(spec, path, "centers")]
+        radii, step = _required(spec, path, "radii"), _required(spec, path, "grid_step")
+        _finite([*chain.from_iterable(centers), *radii, step])
+        return geometry.from_discs(centers, radii, step)
+    except ConfigError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(path, str(exc), "fix the topology entry") from exc
 

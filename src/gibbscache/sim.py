@@ -7,9 +7,20 @@ Traces aggregate occupancy, hit counts, and the hit-rate integral into a
 fixed number of equal time windows so burn-in / final-third statistics can
 be extracted without storing per-event logs; full logs are optional.
 
+Requests are drawn and served in blocks.  A request's server draws do not
+depend on the caches (see ``traffic.assign_server``), so at a fixed real
+state it hits iff a covering station holds the content, or, if it explores,
+iff the covering station its draw picks does; that station serves a miss,
+which stores iff the snapshot lists the content there.  A block is resolved
+with array lookups up to its next store, and each store is applied on its
+own.  The virtual chain advances slot by slot in between, fed the arrivals
+before each slot when it learns the rates.
+
 All randomness flows from one seed expanded into named substreams
 (bs-pick, column-sample, arrivals, content-mark, segment-mark,
-server-pick), so identical (config, seed) pairs give identical traces.
+server-pick), so identical (config, seed) pairs give identical traces.  The
+request streams are read in blocks through numpy generators that continue
+them, which yield the same doubles one draw at a time would.
 """
 
 from __future__ import annotations
@@ -18,8 +29,10 @@ import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
 from math import log
+from operator import or_
 
 import numpy as np
 
@@ -29,7 +42,9 @@ from .gibbs import GibbsParams, StateKey
 from .model import ContentCatalog, mask_hit_rate
 from .geometry import CellTopology
 
-_INF = float("inf")
+# Requests drawn and served per block.  Any size gives the same trace; the
+# block buffers grow with it.
+_CHUNK = 1 << 10
 
 STREAM_NAMES = (
     "bs-pick",
@@ -48,6 +63,24 @@ def substreams(seed: int) -> dict[str, random.Random]:
         name: random.Random(int(child.generate_state(2, np.uint64)[0]))
         for name, child in zip(STREAM_NAMES, children)
     }
+
+
+def _generator(rng: random.Random) -> np.random.Generator:
+    """A numpy generator that continues ``rng``'s stream: both are MT19937,
+    so its ``random`` yields the doubles that ``rng.random`` would."""
+    _, state, _ = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], np.uint32), "pos": state[-1]},
+    }
+    return np.random.Generator(bits)
+
+
+def _bits(mask: int, m: int) -> np.ndarray:
+    """Boolean array of the low ``m`` bits of ``mask``, bit i at index i."""
+    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").view(bool)
 
 
 @dataclass
@@ -175,11 +208,10 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     rngs = substreams(seed)
     bs_randrange = rngs["bs-pick"].randrange
     col_random = rngs["column-sample"].random
-    arr_random = rngs["arrivals"].random
-    content_random = rngs["content-mark"].random
-    segment_random = rngs["segment-mark"].random
-    server_random = rngs["server-pick"].random
-    server_randrange = rngs["server-pick"].randrange
+    # The request streams are drawn ahead, a block at a time.
+    arr_gen, content_gen, segment_gen, server_gen = (
+        _generator(rngs[name]) for name in STREAM_NAMES[2:]
+    )
 
     learning = config.learning
     core = FastCore(
@@ -187,7 +219,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     )
     n_bs = top.n_bs
     m = cat.m_contents
-    lam = cat.intensities
     horizon = config.horizon
     n_windows = config.n_windows
     wlen = horizon / n_windows
@@ -195,13 +226,21 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     # Arrival marks: running sums of popularity and segment area, as in
     # traffic.next_request.
-    cum_lam = list(accumulate(lam))
+    cum_lam = list(accumulate(cat.intensities))
     total_lam = cum_lam[-1]
     cum_area = list(accumulate(core.seg_areas))
     total_area = cum_area[-1]
     total_rate = total_lam * total_area
+    cum_lam, cum_area = np.array(cum_lam), np.array(cum_area)
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
+    seg_keys = [tuple(bs) for bs in seg_bs]
+    # Covering stations (0-based) of all segments in one array: segment q's
+    # are cover[first[q]:first[q] + n_cover[q]].
+    n_cover = np.array([len(bs) for bs in seg_bs])
+    first = np.concatenate(([0], np.cumsum(n_cover)[:-1]))
+    cover = np.array([b - 1 for bs in seg_bs for b in bs])
+    neighbours = core.neighbours
 
     # Real caches and the snapshot as per-station content bitmasks copied from
     # FastCore's; real_key holds the real columns as sorted tuples.
@@ -212,6 +251,25 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     real_cols = list(real_key)
     cur_h = real_h(real)
     hit_memo: dict[StateKey, float] = {real_key: cur_h}
+    # The masks as boolean rows, read by flat index (q * m + i): row q of
+    # ``held`` says which contents some station of segment q holds, row
+    # n_seg + j which station j holds; ``snap_held`` has the snapshot's
+    # station rows at the same places.
+    held = np.zeros((n_seg + n_bs, m), bool)
+    held_at = held.ravel()  # a view: rewritten rows show through
+
+    def hold(j: int) -> None:
+        # Rewrite the rows that station j's real mask enters.
+        held[n_seg + j] = _bits(real[j], m)
+        for q, others in neighbours[j]:
+            held[q] = _bits(reduce(or_, [real[b] for b in others], real[j]), m)
+
+    def snap_rows() -> np.ndarray:
+        return np.concatenate([np.zeros(n_seg * m, bool), *(_bits(x, m) for x in snap)])
+
+    for j in range(n_bs):
+        hold(j)
+    snap_held = snap_rows()
 
     sched = config.make_schedule()
     next_boundary_idx = 1
@@ -219,8 +277,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     real_occ: list[dict[StateKey, float]] = [{} for _ in range(n_windows)]
     v_counts: list[Counter] = [Counter() for _ in range(n_windows)]
-    hits = [0] * n_windows
-    misses = [0] * n_windows
+    hits = np.zeros(n_windows, np.int64)
+    misses = np.zeros(n_windows, np.int64)
     h_int = [0.0] * n_windows
     events = [] if config.record_events else None
     slots = [] if config.record_slots else None
@@ -241,35 +299,141 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 t0 = seg_end
             w += 1
 
+    def resolve(a: int, b: int) -> None:
+        """Serve requests a..b-1 of the block against the current snapshot:
+        each pass looks the rest up at the current real state and ends
+        after its first store."""
+        nonlocal real_key, cur_h, last_change
+        while a < b:
+            # Gathers into the block buffers: "clip" takes no temporary
+            # (every index is in range), so no array is sized by the span.
+            hit = np.take(held_at, hit_at[a:b], out=hit_flags[a:b], mode="clip")
+            # A miss stores iff the snapshot lists the content at its station.
+            store = np.take(snap_held, served_at[a:b], out=stores[a:b], mode="clip")
+            np.greater(store, hit, out=store)
+            s = int(store.argmax())
+            if not store[s]:
+                if events is not None:
+                    log_events(a, b, -1)
+                return
+            e = a + s + 1
+            if events is not None:
+                log_events(a, e, e - 1)
+            # Store the content; evict what the snapshot dropped.
+            j, i0, t = int(station[s + a]), int(content[s + a]), time_at[s + a]
+            add_real_time(last_change, t, real_key, cur_h)
+            last_change = t
+            new = real[j] = real[j] & snap[j] | 1 << i0
+            real_cols[j] = tuple(i + 1 for i in range(m) if new >> i & 1)
+            real_key = tuple(real_cols)
+            cur_h = hit_memo.get(real_key)
+            if cur_h is None:
+                cur_h = hit_memo[real_key] = real_h(real)
+            hold(j)
+            a = e
+
+    def log_events(a: int, e: int, stored: int) -> None:
+        # Requests a..e-1 met the current real state; request ``stored``
+        # (-1 for none) stored.
+        for r in range(a, e):
+            q, i0, j = int(segment[r]), int(content[r]), int(station[r]) + 1
+            covering = seg_bs[q]
+            if not hit_flags[r]:
+                action = "store" if r == stored else "miss"
+            else:
+                action = "hit"
+                if not explore[r]:
+                    holders = [b for b in covering if real[b - 1] >> i0 & 1]
+                    j = holders[int(pick[r] * len(holders))]
+            events.append((time_at[r], i0 + 1, seg_keys[q], j, action))
+
+    def feed(a: int, b: int) -> None:
+        # record_arrival reads the server of explored requests only, which
+        # ``station`` holds.
+        for r in range(a, b):
+            record_arrival(segment_l[r], content_l[r], station_l[r], explore_l[r])
+
     spacing = config.slot_spacing
     slot_idx = 0  # number of updates performed; update k fires at (k+1)*spacing
     next_slot = spacing
     last_change = 0.0
-    tau = 0.0
+    tau = 0.0  # the latest arrival time
     beta_at = config.gibbs.beta_at
     beta = beta_at(0, n_bs)
-    # Non-exploring server pool per (segment, content), keyed q * m + i0; a
-    # pool changes only when a real cache does.
-    pools: dict[int, list[int]] = {}
     step = core.step
     columns = core.columns
+    record_arrival = core.record_arrival
+    # Block buffers, filled with out=: numpy keeps up to seven freed buffers
+    # of each size under 1 KiB for reuse, so arrays sized by a span of
+    # requests would pile up over many runs.
+    u = np.empty(_CHUNK)
+    server_u = np.empty(2 * _CHUNK)
+    times = np.empty(_CHUNK)
+    time_at = memoryview(times)  # reads Python floats, as bisect wants
+    content, segment, station, served_at, hit_at, window = (
+        np.empty(_CHUNK, np.int64) for _ in range(6)
+    )
+    explore, hit_flags, stores = (np.empty(_CHUNK, bool) for _ in range(3))
 
     while True:
-        # Exponential inter-arrival, drawn as random.expovariate draws it.
-        t_arr = tau - log(1.0 - arr_random()) / total_rate
-        limit = t_arr if t_arr < horizon else horizon
-        # Fire slot updates and snapshot refreshes up to the next arrival,
-        # snapshots first on ties (the reference is V at the boundary minus).
+        # The next block of arrivals before the horizon.  Exponential
+        # inter-arrivals as random.expovariate draws them, summed in order:
+        # np.log can differ from math.log in the last bit.
+        np.subtract(1.0, arr_gen.random(out=u), out=u)
+        np.divide(np.fromiter(map(log, memoryview(u)), float, _CHUNK), -total_rate, out=times)
+        times[0] += tau
+        np.cumsum(times, out=times)
+        n = int(np.searchsorted(times, horizon))
+        for gen, cum, total, out in (
+            (content_gen, cum_lam, total_lam, content),
+            (segment_gen, cum_area, total_area, segment),
+        ):
+            np.multiply(gen.random(out=u), total, out=u)
+            np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1, out=out)
+        # Two server-pick draws per request, as traffic.assign_server takes
+        # them: exploration, then the pick.  ``station`` is the covering
+        # station at the pick; it serves every explored request and every miss.
+        server_gen.random(out=server_u)
+        np.less(server_u[0::2], eta, out=explore)
+        pick = server_u[1::2]
+        np.multiply(pick, n_cover[segment], out=u)
+        np.copyto(station, u, casting="unsafe")  # truncates, as int() does
+        np.take(cover, np.add(station, first[segment], out=station), out=station)
+        np.add(station, n_seg, out=served_at)
+        np.multiply(served_at, m, out=served_at)
+        np.add(served_at, content, out=served_at)
+        # Explored requests hit iff their station holds the content, the
+        # others iff some covering station does.
+        np.multiply(segment, m, out=hit_at)
+        np.add(hit_at, content, out=hit_at)
+        np.copyto(hit_at, served_at, where=explore)
+        if learning:
+            segment_l, content_l = segment[:n].tolist(), content[:n].tolist()
+            station_l, explore_l = station[:n].tolist(), explore[:n].tolist()
+        fed = done = 0  # requests of the block fed to the estimator, served
+        limit = time_at[n - 1] if n == _CHUNK else horizon
+
+        # Fire slot updates and snapshot refreshes up to the block's last
+        # arrival, snapshots first on ties (the reference is V at the
+        # boundary minus); an arrival at an update's time comes after it.
         while True:
             t_snap = next_boundary
             t_slot = next_slot
             if t_snap <= limit and t_snap <= t_slot:
+                k = bisect.bisect_left(time_at, t_snap, done, n)
+                resolve(done, k)
+                done = k
                 snap = core.masks[:]
+                snap_held = snap_rows()
                 snapshots.append((t_snap, v_key))
                 next_boundary_idx += 1
                 next_boundary = sched.boundary(next_boundary_idx)
                 continue
             if t_slot <= limit:
+                if learning:
+                    k = bisect.bisect_left(time_at, t_slot, fed, n)
+                    feed(fed, k)
+                    fed = k
                 beta = beta_at(slot_idx, n_bs)
                 j0 = bs_randrange(n_bs)
                 step(j0, beta, col_random(), t_slot)
@@ -282,57 +446,19 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 next_slot = (slot_idx + 1) * spacing
                 continue
             break
-        if t_arr >= horizon:
-            break
-        tau = t_arr
-
-        # Mark the arrival: content and segment identity.
-        u = content_random() * total_lam
-        i0 = bisect.bisect_right(cum_lam, u)
-        if i0 >= m:
-            i0 = m - 1
-        v = segment_random() * total_area
-        q = bisect.bisect_right(cum_area, v)
-        if q >= n_seg:
-            q = n_seg - 1
-        bit = 1 << i0
-
-        # Serving-station selection.
-        covering = seg_bs[q]
-        explore = eta > 0 and server_random() < eta
-        if explore:
-            pool = covering
-        else:
-            pool = pools.get(q * m + i0)
-            if pool is None:
-                pool = [j for j in covering if real[j - 1] & bit] or covering
-                pools[q * m + i0] = pool
-        j = pool[server_randrange(len(pool))] if len(pool) > 1 else pool[0]
+        resolve(done, n)
         if learning:
-            core.record_arrival(q, i0, j - 1, explore)
-
-        # Real-cache update.
-        w = min(int(tau / wlen), n_windows - 1)
-        if real[j - 1] & bit:
-            hits[w] += 1
-            action = "hit"
-        else:
-            misses[w] += 1
-            action = "miss"
-            if snap[j - 1] & bit:
-                # Store the content; evict what the snapshot dropped.
-                add_real_time(last_change, tau, real_key, cur_h)
-                last_change = tau
-                new = real[j - 1] = real[j - 1] & snap[j - 1] | bit
-                real_cols[j - 1] = tuple(i + 1 for i in range(m) if new >> i & 1)
-                real_key = tuple(real_cols)
-                pools.clear()
-                cur_h = hit_memo.get(real_key)
-                if cur_h is None:
-                    cur_h = hit_memo[real_key] = real_h(real)
-                action = "store"
-        if events is not None:
-            events.append((tau, i0 + 1, tuple(covering), j, action))
+            feed(fed, n)
+        np.divide(times, wlen, out=u)
+        np.minimum(u, n_windows - 1, out=window, casting="unsafe")
+        # Count window w's misses at 2w and its hits at 2w + 1.
+        np.add(window, window, out=window)
+        counts = np.bincount(np.add(window, hit_flags, out=window)[:n], minlength=2 * n_windows)
+        misses += counts[0::2]
+        hits += counts[1::2]
+        if n < _CHUNK:
+            break
+        tau = limit
 
     add_real_time(last_change, horizon, real_key, cur_h)
 
@@ -341,7 +467,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     tables = [bs[0] - 1 if core.local else 0 for bs in seg_bs]
     estimator = [
         EstimatorSnapshot(
-            i0 + 1, tuple(seg_bs[q]), core.est_counts[tables[q]][q][i0],
+            i0 + 1, seg_keys[q], core.est_counts[tables[q]][q][i0],
             core.theta(q, i0, horizon, tables[q]), core.true_rates[q][i0],
         )
         for q in range(n_seg)
@@ -355,8 +481,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         seed=seed,
         real_occ=real_occ,
         v_counts=v_counts,
-        hits=hits,
-        misses=misses,
+        hits=hits.tolist(),
+        misses=misses.tolist(),
         h_integral=h_int,
         hit_rates=dict(hit_memo),
         n_slots=slot_idx,

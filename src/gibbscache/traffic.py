@@ -55,15 +55,18 @@ def assign_server(
 
     Uniform over covering stations holding the content; uniform over all
     covering stations when none holds it, or with exploration probability
-    ``eta``.  A pool of one station is taken without a draw.
+    ``eta``.  Takes exactly two draws from ``rng`` for any pool, so that the
+    stream does not depend on the caches: ``u1 < eta`` explores, and the
+    server is ``pool[int(u2 * len(pool))]``.
     """
     if not (0 <= eta < 1):
         raise ValueError("eta must be in [0, 1)")
     covering = sorted(req.segment)
-    explore = eta > 0 and rng.random() < eta
+    explore = rng.random() < eta
+    u = rng.random()
     holders = [j for j in covering if R.matrix[req.content - 1, j - 1]]
     pool = covering if explore or not holders else holders
-    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+    return pool[int(u * len(pool))]
 
 
 @dataclass

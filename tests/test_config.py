@@ -220,6 +220,29 @@ TOPOLOGIES = {
 TOPOLOGIES["topology.segments.areas"] = TOPOLOGIES["topology.segments"]
 
 
+class TestMissingTopologyFields:
+    @pytest.mark.parametrize(
+        "path",
+        ["topology.segments.n_bs", "topology.segments.areas", "topology.segments.areas.subset",
+         "topology.segments.areas.area", "topology.discs.centers", "topology.discs.radii",
+         "topology.discs.grid_step"],
+    )
+    def test_missing_field_is_named(self, path):
+        *parents, name = path.split(".")
+        topology = copy.deepcopy(TOPOLOGIES[".".join(parents[:2])])
+        data = base_data(topology=topology, traffic={"eta": 0.1})
+        section = data
+        for key in parents:
+            section = section[key]
+            if isinstance(section, list):  # a list element is named by its list
+                section = section[0]
+        del section[name]
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == path
+        assert "missing required field" in str(exc.value)
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize(
         "path",

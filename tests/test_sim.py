@@ -11,6 +11,7 @@ import gibbscache as gc
 from gibbscache.config import EstimatorConfig
 from gibbscache.gibbs import GibbsParams, transition_matrix
 from gibbscache.realcache import most_popular_columns
+from gibbscache import sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
 from exact_chain import ExactChain
 
@@ -43,6 +44,16 @@ class TestSubstreams:
 
     def test_seeds_differ(self):
         assert substreams(1)["arrivals"].random() != substreams(2)["arrivals"].random()
+
+    @pytest.mark.parametrize("name", STREAM_NAMES)
+    def test_block_generator_continues_stream(self, name):
+        # sim.run draws the request streams in numpy blocks from a copy of
+        # each stream's state; the doubles must be the stream's own.
+        rng = substreams(5)[name]
+        rng.random()  # start mid-stream
+        gen = sim._generator(rng)
+        drawn = np.concatenate([gen.random(1), gen.random(623), gen.random(99_376)])
+        assert drawn.tolist() == [rng.random() for _ in range(100_000)]
 
 
 class TestDistributionHelpers:
@@ -273,6 +284,33 @@ class TestReplay:
             (hits if action == "hit" else misses)[w] += 1
         assert (hits, misses) == (trace.hits, trace.misses)
         assert final_real.columns() == trace.final_real
+
+
+class TestRunInvariance:
+    """Options and block sizes that must not move a trace by one bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["hex7", "line3-stores", "line2-explore-learn"])
+    def test_logs_leave_trace_unchanged(self, name, seed, line2_config):
+        cfg = _replay_config(name, line2_config)
+        logged = gc.run(cfg, seed=seed)
+        bare = dataclasses.replace(logged, events=None, slots=None)
+        for events, slots in ((False, False), (True, False), (False, True)):
+            trace = gc.run(
+                dataclasses.replace(cfg, record_events=events, record_slots=slots), seed=seed
+            )
+            assert (trace.events is None, trace.slots is None) == (not events, not slots)
+            assert dataclasses.replace(trace, events=None, slots=None) == bare
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("name", ["line3-stores", "line2-explore-learn"])
+    def test_block_size_leaves_trace_unchanged(self, name, chunk, line2_config, monkeypatch):
+        # Block edges fall between arrivals, slots, snapshots and stores in
+        # every combination at these sizes.
+        cfg = _replay_config(name, line2_config)
+        expect = gc.run(cfg, seed=3)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        assert gc.run(cfg, seed=3) == expect
 
 
 @pytest.fixture(scope="module")

@@ -73,15 +73,24 @@ class TestAssignServer:
         for _ in range(50):
             assert gc.assign_server(req, R, rng) == 1
 
-    def test_single_station_pool_draws_nothing(self):
-        # One holder, or one covering station: the server is forced and the
-        # server-pick stream is left where it was, as in the simulator.
-        R = self._placement()
-        rng = random.Random(12)
-        state = rng.getstate()
-        assert gc.assign_server(RequestEvent(1.0, 1, frozenset({1, 2})), R, rng) == 1
-        assert gc.assign_server(RequestEvent(1.0, 1, frozenset({2})), R, rng) == 2
-        assert rng.getstate() == state
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "content, segment",
+        [(1, {1, 2}), (1, {2}), (1, {1}), (2, {1, 2}), (3, {1, 2, 3})],
+        ids=["one-holder", "one-covering", "forced-hit", "two-pools", "no-holder"],
+    )
+    def test_two_draws_for_any_pool(self, content, segment, eta):
+        # Whatever the pool, one draw decides exploration and one picks the
+        # server, so the server-pick stream does not depend on the caches.
+        R = gc.Placement.from_columns(3, [(1,), (2,), (2,)], 1)
+        rng, twin = random.Random(12), random.Random(12)
+        for _ in range(20):
+            req = RequestEvent(1.0, content, frozenset(segment))
+            explore, u = twin.random() < eta, twin.random()
+            holders = [j for j in sorted(segment) if R.matrix[content - 1, j - 1]]
+            pool = sorted(segment) if explore or not holders else holders
+            assert gc.assign_server(req, R, rng, eta) == pool[int(u * len(pool))]
+            assert rng.getstate() == twin.getstate()
 
     def test_no_holder_uniform_over_covering(self):
         R = gc.Placement.from_columns(3, [(3,), (3,)], 1)
