@@ -14,6 +14,7 @@ from .gibbs import (
     expected_hit_rates,
     gibbs_step,
     stationary_distribution,
+    transition_matrices,
     transition_matrix,
     validate_beta0,
 )

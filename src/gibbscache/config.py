@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -89,22 +88,24 @@ def _reject_unread(opened: list) -> None:
             )
 
 
+def _numbers(values: Any) -> bool:
+    """True iff ``values`` is a list of JSON numbers (true and false are not)."""
+    return isinstance(values, list) and {*map(type, values)} <= {int, float}
+
+
 def _reals(values: Any) -> bool:
-    """True iff ``values`` is a list of finite JSON numbers (true and false are not)."""
-    return (
-        isinstance(values, list)
-        and {*map(type, values)} <= {int, float}
-        and all(map(math.isfinite, values))
-    )
+    """True iff ``values`` is a list of finite JSON numbers."""
+    return _numbers(values) and all(map(math.isfinite, values))
 
 
-def _finite(values: list) -> None:
-    if not _reals(values):
-        raise ValueError("every value must be a finite number")
+def _pairs(values: Any) -> bool:
+    """True iff ``values`` is a list of lists of two JSON numbers."""
+    return isinstance(values, list) and all(_numbers(v) and len(v) == 2 for v in values)
 
 
 # Checks of a field, with what passes them.
 POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite number > 0")
+NUMBER = (lambda v: _numbers([v]), "a number")
 BOOL = (lambda v: type(v) is bool, "true or false")
 
 
@@ -118,31 +119,36 @@ def _build_topology(topo: dict, opened: list) -> CellTopology:
             f"expected exactly one of segments/intervals/discs, found {modes or 'none'}",
             "pick a single topology mode",
         )
+    # A field of the wrong JSON shape is named by its own path; a value that
+    # the geometry rejects (not finite, not positive, out of range) by the mode's.
     path = f"topology.{modes[0]}"
-    spec = topo.pop("intervals") if modes == ["intervals"] else _section(topo, path, opened)
     try:
         if path == "topology.intervals":
-            intervals = [tuple(iv) for iv in spec]
-            _finite([*chain.from_iterable(intervals)])
-            return geometry.from_intervals(intervals)
+            intervals = _field(topo, "topology", "intervals", None, _pairs,
+                               "a list of [start, end] pairs")
+            return geometry.from_intervals([tuple(iv) for iv in intervals])
+        spec = _section(topo, path, opened)
         if path == "topology.segments":
-            n_bs = _required(spec, path, "n_bs")
-            entries = [{**entry} for entry in _required(spec, path, "areas")]
+            n_bs = _field(spec, path, "n_bs", None, *NUMBER)
+            entries = _field(spec, path, "areas", None,
+                             lambda v: isinstance(v, list) and all(type(e) is dict for e in v),
+                             "a list of JSON objects")
+            entries = [{**entry} for entry in entries]
             opened.extend((f"{path}.areas", entry) for entry in entries)
             areas = {
-                frozenset(_required(entry, f"{path}.areas", "subset")):
-                    _required(entry, f"{path}.areas", "area")
+                frozenset(_field(entry, f"{path}.areas", "subset", None, _numbers,
+                                 "a list of station numbers")):
+                    _field(entry, f"{path}.areas", "area", None, *NUMBER)
                 for entry in entries
             }
-            _finite([n_bs, *areas.values(), *chain.from_iterable(areas)])
             return geometry.from_segments(n_bs, areas)
-        centers = [tuple(c) for c in _required(spec, path, "centers")]
-        radii, step = _required(spec, path, "radii"), _required(spec, path, "grid_step")
-        _finite([*chain.from_iterable(centers), *radii, step])
-        return geometry.from_discs(centers, radii, step)
+        centers = _field(spec, path, "centers", None, _pairs, "a list of [x, y] points")
+        radii = _field(spec, path, "radii", None, _numbers, "a list of numbers")
+        step = _field(spec, path, "grid_step", None, *NUMBER)
+        return geometry.from_discs([tuple(c) for c in centers], radii, step)
     except ConfigError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(path, str(exc), "fix the topology entry") from exc
 
 

@@ -102,8 +102,8 @@ def from_intervals(intervals: Sequence[tuple[float, float]]) -> CellTopology:
     if not intervals:
         raise ValueError("need at least one interval")
     for idx, (lo, hi) in enumerate(intervals):
-        if not (lo < hi):
-            raise ValueError(f"interval {idx}: lo must be < hi, got ({lo}, {hi})")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"interval {idx}: need finite lo < hi, got ({lo}, {hi})")
     points = sorted({p for lo, hi in intervals for p in (lo, hi)})
     areas: dict[Subset, float] = {}
     for lo, hi in zip(points, points[1:]):

@@ -9,9 +9,8 @@ oracle; ``engine.FastCore`` samples the same law without enumeration.
 
 The exact tools enumerate every configuration.  :func:`state_rates` is their
 one scan of hit rates, as per-station content bitmasks through
-``model.mask_hit_rate`` (the same floats as ``model.hit_rate``).  Station j's
-conditional law does not depend on j's own column, so ``transition_matrix``
-computes it once per (j, columns of the other stations).
+``model.mask_hit_rate`` (the same floats as ``model.hit_rate``).  The
+transition kernels of the sampler are read from it too (:func:`transition_matrices`).
 """
 
 from __future__ import annotations
@@ -244,33 +243,40 @@ def expected_hit_rate(
     return expected_hit_rates(state_rates(top, cat, cache_size)[1], [beta])[0]
 
 
+def transition_matrices(rates: array, n_bs: int, betas: Iterable[float]) -> np.ndarray:
+    """Exact single-step transition matrices of the uniform-site sampler, one
+    per beta, over the states of :func:`state_rates` in its order.
+
+    h minus station j's local energy does not depend on j's column, so j's
+    conditional law is exp(beta * h) normalised over the states that differ
+    only in column j.
+    """
+    betas = np.fromiter(betas, dtype=float)
+    if (betas < 0).any():
+        raise ValueError("beta must be >= 0")
+    h = np.frombuffer(rates)
+    n_cands = round(len(h) ** (1 / n_bs))
+    P = np.zeros((len(betas), len(h), len(h)))
+    for j in range(n_bs):
+        # State indices on the axes (columns before j, column j, columns after j).
+        cell = np.arange(len(h)).reshape(n_cands**j, n_cands, -1)
+        exponents = betas[:, None, None, None] * h[cell]
+        weights = np.exp(exponents - exponents.max(axis=2, keepdims=True))
+        law = weights / weights.sum(axis=2, keepdims=True)
+        # From each state to each state that differs from it only in column j.
+        P[:, cell[:, :, None], cell[:, None]] += law[:, :, None] / n_bs
+    return P
+
+
 def transition_matrix(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> tuple[list[StateKey], np.ndarray]:
-    """Exact single-step transition matrix of the uniform-site sampler.
-
-    Row order matches :func:`enumerate_states`.  Used by the detailed
-    balance and convergence diagnostics on small instances.  Station j's
-    conditional law does not depend on j's own column, so it is computed
-    once per (j, columns of the other stations) and reused for the states
-    that differ only in column j.
-    """
-    states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
-    index = {k: i for i, k in enumerate(states)}
-    n = top.n_bs
-    P = np.zeros((len(states), len(states)))
-    laws = {}
-    for row, k in enumerate(states):
-        for j in range(1, n + 1):
-            before, after = k[:j - 1], k[j:]
-            key = (j, before, after)
-            law = laws.get(key)
-            if law is None:
-                B = Placement.from_columns(cat.m_contents, k, cache_size)
-                law = laws[key] = conditional_distribution(top, cat, B, j, beta)
-            for c, p in zip(*law):
-                P[row, index[before + (c,) + after]] += p / n
-    return states, P
+    """Exact single-step transition matrix of the uniform-site sampler at
+    ``beta``, with rows in :func:`enumerate_states` order.  Used by the
+    detailed balance and convergence diagnostics on small instances."""
+    cands, rates = state_rates(top, cat, cache_size)
+    states = list(itertools.product(cands, repeat=top.n_bs))
+    return states, transition_matrices(rates, top.n_bs, [beta])[0]
 
 
 def dobrushin_bound(

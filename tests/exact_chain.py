@@ -1,7 +1,9 @@
 """Independent oracle: exact distribution evolution of the single-site chain.
 
-Built from the readable conditional-distribution route (not the optimized
-sampler core), so sampler statistics can be checked against exact
+Its kernels come from the one state scan (``gibbs.state_rates``) through
+``gibbs.transition_matrices``, which ``tests/test_gibbs.py`` pins to the
+readable conditional-distribution route; nothing here runs the optimized
+sampler core.  Sampler statistics can so be checked against exact
 expectations for both fixed and annealed temperature schedules.
 """
 
@@ -9,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-import gibbscache as gc
-from gibbscache.gibbs import GibbsParams, enumerate_states, state_rates
+from gibbscache.gibbs import GibbsParams, enumerate_states, state_rates, transition_matrices
 
 # Periods whose kernels are held at once by ``expected_slot_counts``.
 KERNEL_CHUNK = 1 << 15
@@ -18,45 +19,15 @@ KERNEL_CHUNK = 1 << 15
 
 class ExactChain:
     def __init__(self, top, cat, cache_size):
-        self.top = top
-        self.cat = cat
-        self.k = cache_size
         self.states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_bs = top.n_bs
-        self.h = np.array(state_rates(top, cat, cache_size)[1])
-        # Per station: candidate energies and one-hot target states, so that
-        # kernel[s, t] sums the conditional weights of the candidates of s
-        # that lead to t.
-        self.energies = []
-        self.targets = []
-        n_states = len(self.states)
-        for j in range(1, self.n_bs + 1):
-            E = []
-            T = []
-            for s in self.states:
-                B = gc.Placement.from_columns(cat.m_contents, s, cache_size)
-                cands, _ = gc.conditional_distribution(top, cat, B, j, 0.0)
-                E.append(
-                    [
-                        gc.local_energy(top, cat, B.with_column(j, c), j)
-                        for c in cands
-                    ]
-                )
-                T.append([self.index[s[: j - 1] + (c,) + s[j:]] for c in cands])
-            E = np.array(E)
-            self.energies.append(E - E.max(axis=1, keepdims=True))
-            self.targets.append(np.array(T)[:, :, None] == np.arange(n_states))
+        self.rates = state_rates(top, cat, cache_size)[1]
+        self.h = np.array(self.rates)
 
     def kernels(self, betas) -> np.ndarray:
         """One-slot transition matrices, one per entry of ``betas``."""
-        betas = np.asarray(betas, dtype=float)[:, None, None]
-        P = np.zeros((len(betas), len(self.states), len(self.states)))
-        for E, T in zip(self.energies, self.targets):
-            W = np.exp(betas * E)
-            W /= W.sum(axis=2, keepdims=True)
-            P += np.einsum("bsc,sct->bst", W, T) / self.n_bs
-        return P
+        return transition_matrices(self.rates, self.n_bs, betas)
 
     def step(self, mu: np.ndarray, beta: float) -> np.ndarray:
         return mu @ self.kernels([beta])[0]

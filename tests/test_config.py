@@ -220,6 +220,20 @@ TOPOLOGIES = {
 TOPOLOGIES["topology.segments.areas"] = TOPOLOGIES["topology.segments"]
 
 
+def topology_field(path):
+    """A config with the topology that ``path`` is in, the object holding the
+    field at ``path`` and the field's name."""
+    *parents, name = path.split(".")
+    data = base_data(topology=copy.deepcopy(TOPOLOGIES.get(".".join(parents[:2]), {})),
+                     traffic={"eta": 0.1})
+    section = data
+    for key in parents:
+        section = section[key]
+        if isinstance(section, list):  # a list element is named by its list
+            section = section[0]
+    return data, section, name
+
+
 class TestMissingTopologyFields:
     @pytest.mark.parametrize(
         "path",
@@ -228,19 +242,29 @@ class TestMissingTopologyFields:
          "topology.discs.grid_step"],
     )
     def test_missing_field_is_named(self, path):
-        *parents, name = path.split(".")
-        topology = copy.deepcopy(TOPOLOGIES[".".join(parents[:2])])
-        data = base_data(topology=topology, traffic={"eta": 0.1})
-        section = data
-        for key in parents:
-            section = section[key]
-            if isinstance(section, list):  # a list element is named by its list
-                section = section[0]
+        data, section, name = topology_field(path)
         del section[name]
         with pytest.raises(ConfigError) as exc:
             gc.build_config(data)
         assert exc.value.field == path
         assert "missing required field" in str(exc.value)
+
+
+class TestMalformedTopologyFields:
+    @pytest.mark.parametrize(
+        "path, value",
+        [("topology.intervals", 3), ("topology.intervals", [3]),
+         ("topology.intervals", [[0, 1, 2]]), ("topology.segments.areas", [3]),
+         ("topology.segments.areas", 3), ("topology.segments.areas.subset", 1),
+         ("topology.discs.centers", 3), ("topology.discs.radii", 1)],
+    )
+    def test_malformed_value_is_named(self, path, value):
+        data, section, name = topology_field(path)
+        section[name] = value
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == path
+        assert exc.value.problem.startswith("must be ")
 
 
 class TestUnknownKeys:

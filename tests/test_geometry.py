@@ -81,6 +81,11 @@ class TestFromIntervals:
         with pytest.raises(ValueError):
             gc.from_intervals([(1, 1)])
 
+    @pytest.mark.parametrize("lo, hi", [(0, math.inf), (-math.inf, 1), (math.nan, 1)])
+    def test_non_finite_endpoint_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="interval 1: need finite lo < hi"):
+            gc.from_intervals([(0, 2), (lo, hi)])
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 30), st.integers(1, 12)),

@@ -12,6 +12,7 @@ from gibbscache.gibbs import (
     enumerate_states,
     expected_hit_rates,
     state_rates,
+    transition_matrices,
     transition_matrix,
 )
 from gibbscache.realcache import most_popular_columns
@@ -283,11 +284,14 @@ class TestExpectedHitRate:
             ]
 
     def test_negative_beta_rejected(self, line2_topology, line2_catalog):
-        for exact in (gc.stationary_distribution, gc.expected_hit_rate):
+        for exact in (gc.stationary_distribution, gc.expected_hit_rate, transition_matrix):
             with pytest.raises(ValueError):
                 exact(line2_topology, line2_catalog, 1, -0.5)
+        rates = state_rates(line2_topology, line2_catalog, 1)[1]
         with pytest.raises(ValueError):
-            expected_hit_rates(state_rates(line2_topology, line2_catalog, 1)[1], [1.0, -0.5])
+            expected_hit_rates(rates, [1.0, -0.5])
+        with pytest.raises(ValueError):
+            transition_matrices(rates, 2, [1.0, -0.5])
 
 
 class TestBitmaskLaw:
@@ -348,13 +352,27 @@ def rowwise_transition_matrix(top, cat, k, beta):
 
 
 class TestTransitionMatrix:
+    # The kernels come from the state scan's h, the rowwise build from local
+    # energies; the two agree up to rounding.
     @pytest.mark.parametrize("beta", [0.0, 2.0, 50.0])
     def test_equals_rowwise_build(self, beta, line2_topology, line2_catalog):
         for top, cat, k in ((line2_topology, line2_catalog, 1), (*three_stations(4), 2)):
             states, P = transition_matrix(top, cat, k, beta)
             ref_states, ref = rowwise_transition_matrix(top, cat, k, beta)
             assert states == ref_states
-            assert np.array_equal(P, ref)
+            assert np.abs(P - ref).max() <= 1e-12
+
+    def test_batched_kernels_equal_rowwise_build(self, line2_topology, line2_catalog):
+        betas = [0.0, 2.0, 50.0]
+        rng = random.Random(23)
+        instances = [(line2_topology, line2_catalog, 1), (*three_stations(4), 2)]
+        instances += [random_instance(rng) for _ in range(20)]
+        for top, cat, k in instances:
+            kernels = transition_matrices(state_rates(top, cat, k)[1], top.n_bs, betas)
+            assert kernels.shape[0] == len(betas)
+            for beta, P in zip(betas, kernels):
+                _, ref = rowwise_transition_matrix(top, cat, k, beta)
+                assert np.abs(P - ref).max() <= 1e-12
 
     def test_rows_are_distributions(self, line2_topology, line2_catalog):
         _, P = transition_matrix(line2_topology, line2_catalog, 1, 2.0)
@@ -418,6 +436,18 @@ class TestDobrushinBound:
         assert gc.dobrushin_bound(beta, delta, n, m, k, l) == pytest.approx(
             contraction**l, abs=1e-14
         )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0])
+    def test_bounds_exact_coefficient(self, beta, line2_topology, line2_catalog):
+        # The exact Dobrushin coefficient of one N-slot period, the largest TV
+        # distance between two rows of P^N, never exceeds the bound.
+        for top, cat, k in ((line2_topology, line2_catalog, 1), (*three_stations(4), 2)):
+            _, P = transition_matrix(top, cat, k, beta)
+            Q = np.linalg.matrix_power(P, top.n_bs)
+            coefficient = 0.5 * np.abs(Q[:, None, :] - Q[None, :, :]).sum(axis=2).max()
+            delta = gc.enumerate_optimal(top, cat, k).delta
+            bound = gc.dobrushin_bound(beta, delta, top.n_bs, cat.m_contents, k, 1)
+            assert coefficient <= bound
 
     def test_decreasing_in_periods(self):
         vals = [gc.dobrushin_bound(2.0, 0.315, 2, 2, 1, l) for l in (1, 5, 20, 100)]

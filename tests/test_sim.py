@@ -9,7 +9,7 @@ import pytest
 
 import gibbscache as gc
 from gibbscache.config import EstimatorConfig
-from gibbscache.gibbs import GibbsParams, transition_matrix
+from gibbscache.gibbs import GibbsParams
 from gibbscache.realcache import most_popular_columns
 from gibbscache import sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
@@ -131,13 +131,6 @@ class TestRunChain:
 
 
 class TestExactChain:
-    def test_kernel_matches_transition_matrix(self, line2_topology, line2_catalog):
-        chain = ExactChain(line2_topology, line2_catalog, 1)
-        for beta in (0.0, 2.5, 13.0):
-            states, P = transition_matrix(line2_topology, line2_catalog, 1, beta)
-            assert states == chain.states
-            assert np.abs(chain.kernels([beta])[0] - P).max() <= 1e-12
-
     def test_slot_counts_match_slot_by_slot_laws(self, line2_topology, line2_catalog):
         # Period kernels against one step per slot, over an odd slot count
         # and windows that split periods.
