@@ -11,13 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Subset = frozenset[int]
 
 # Practical ceiling on the number of stored positive-area segments, not on the
 # number of base stations: realized geometry is what drives iteration cost.
 MAX_SEGMENTS = 100_000
+
+# Ceiling on the grid points `from_discs` counts: a few seconds of vectorised
+# work at a handful of discs.
+MAX_GRID_POINTS = 100_000_000
+
+# Grid points `from_discs` tests per block; its buffers hold one block.
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,10 @@ def from_discs(
 
     Areas are estimated by counting square grid cells of side ``grid_step``
     whose centers fall in each segment; the error is O(grid_step * total
-    perimeter).
+    perimeter).  The grid spans the discs' bounding box and may hold at most
+    ``MAX_GRID_POINTS`` points, and every disc must contain a grid point (any
+    ``grid_step`` below its radius gives one); otherwise ``ValueError`` names
+    ``grid_step`` or the disc.
     """
     if len(centers) != len(radii):
         raise ValueError("centers and radii must have the same length")
@@ -141,23 +153,89 @@ def from_discs(
     xmax = max(c[0] + r for c, r in zip(centers, radii))
     ymin = min(c[1] - r for c, r in zip(centers, radii))
     ymax = max(c[1] + r for c, r in zip(centers, radii))
+    width, height = xmax - xmin, ymax - ymin
+    qx, qy = width / grid_step, height / grid_step
+    if not math.isfinite(qx * qy) or math.ceil(qx) * math.ceil(qy) > MAX_GRID_POINTS:
+        # The step at which (width/step + 1) * (height/step + 1) == MAX_GRID_POINTS.
+        b, m = width + height, MAX_GRID_POINTS - 1
+        fits = (b + math.sqrt(b * b + 4 * width * height * m)) / (2 * m)
+        raise ValueError(
+            f"grid_step {grid_step} gives {qx * qy:.3g} grid points, more than "
+            f"{MAX_GRID_POINTS}; use a grid_step of at least {fits * 1.001:.4g}"
+        )
+    nx, ny = math.ceil(qx), math.ceil(qy)
+
+    # Squared offsets of the grid centers from each disc center, computed by
+    # the scalar expressions (x - cx) ** 2 (numpy's square may differ from
+    # float ** 2 in the last bit), so membership is decided as by a per-point
+    # loop over x, y and the discs.
+    xs = [xmin + (ix + 0.5) * grid_step for ix in range(nx)]
+    ys = [ymin + (iy + 0.5) * grid_step for iy in range(ny)]
+    dx2 = np.array([[(x - cx) ** 2 for x in xs] for cx, _ in centers])
+    dy2 = np.array([[(y - cy) ** 2 for y in ys] for _, cy in centers])
     r2 = [r * r for r in radii]
+
+    # Each point's code holds bit j % 64 of word j // 64 iff disc j + 1 covers
+    # it.  Blocks of whole rows (or of part of a row, if a row is longer than
+    # a block) are tested against every disc in buffers allocated once.
+    n = len(centers)
+    words = (n + 63) // 64
+    cols = max(1, min(ny, _BLOCK_POINTS))
+    rows = max(1, _BLOCK_POINTS // cols)
+    total = np.empty((rows, cols))
+    inside = np.empty((rows, cols), dtype=bool)
+    codes = np.empty((words, rows, cols), dtype=np.uint64)
+    counts: dict[int, int] = {}
+    for r0 in range(0, nx, rows):
+        for c0 in range(0, ny, cols):
+            r, c = min(rows, nx - r0), min(cols, ny - c0)
+            block, t, hit = codes[:, :r, :c], total[:r, :c], inside[:r, :c]
+            block.fill(0)
+            for j in range(n):
+                np.add(dx2[j, r0:r0 + r, None], dy2[j, None, c0:c0 + c], out=t)
+                np.less_equal(t, r2[j], out=hit)
+                word = block[j // 64]
+                np.bitwise_or(word, np.uint64(1 << j % 64), out=word, where=hit)
+            for mask, k in _count_codes(block.reshape(words, r * c)):
+                counts[mask] = counts.get(mask, 0) + k
+
     cell_area = grid_step * grid_step
-    counts: dict[Subset, int] = {}
+    areas = {
+        frozenset(j + 1 for j in range(n) if mask >> j & 1): k * cell_area
+        for mask, k in counts.items()
+        if mask
+    }
+    uncovered = sorted(set(range(1, n + 1)).difference(*areas))
+    if uncovered:
+        j = uncovered[0]
+        raise ValueError(
+            f"disc {j} (radius {radii[j - 1]}) covers no grid point at grid_step "
+            f"{grid_step}; use a grid_step below {radii[j - 1]}"
+        )
+    return CellTopology(n, areas)
 
-    nx = int(math.ceil((xmax - xmin) / grid_step))
-    ny = int(math.ceil((ymax - ymin) / grid_step))
-    for ix in range(nx):
-        x = xmin + (ix + 0.5) * grid_step
-        for iy in range(ny):
-            y = ymin + (iy + 0.5) * grid_step
-            covering = frozenset(
-                j + 1
-                for j, ((cx, cy), rr2) in enumerate(zip(centers, r2))
-                if (x - cx) ** 2 + (y - cy) ** 2 <= rr2
-            )
-            if covering:
-                counts[covering] = counts.get(covering, 0) + 1
-    areas = {s: n * cell_area for s, n in counts.items()}
-    return CellTopology(len(centers), areas)
 
+def _count_codes(codes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Distinct columns of a (words, points) ``uint64`` array with their counts.
+
+    Each column is returned as one int, word ``w`` in bits 64w..64w+63.  Words
+    after the first are folded into the key one at a time, as the pair (rank
+    of the key so far, rank of the word) among the block's distinct values, so
+    one 1-D ``np.unique`` counts every column; the distinct values kept at
+    each fold unfold the counted keys back into words.
+    """
+    key, folds = codes[0], []
+    for word in codes[1:]:
+        seen_keys, key_rank = np.unique(key, return_inverse=True)
+        seen_words, word_rank = np.unique(word, return_inverse=True)
+        key = key_rank * len(seen_words) + word_rank
+        folds.append((seen_keys, seen_words))
+    keys, counts = np.unique(key, return_counts=True)
+    high = []
+    for seen_keys, seen_words in reversed(folds):
+        keys, word_rank = np.divmod(keys, len(seen_words))
+        high.append(seen_words[word_rank].tolist())
+        keys = seen_keys[keys]
+    columns = zip(keys.tolist(), *reversed(high))
+    masks = [sum(w << 64 * i for i, w in enumerate(column)) for column in columns]
+    return zip(masks, counts.tolist())

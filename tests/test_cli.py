@@ -215,6 +215,21 @@ class TestExitCodes:
                     {"subset": [1], "area": 2.0, "aera": 5.0}]}}},
                 "topology.segments.areas.aera",
             ),
+            (
+                {"topology": {"discs": {"centers": [[0, 0]], "radii": [1.0],
+                                        "grid_step": 1e-308}}},
+                "topology.discs",
+            ),
+            (
+                {"topology": {"discs": {"centers": [[0, 0]], "radii": [1.0],
+                                        "grid_step": 1e-6}}},
+                "topology.discs",
+            ),
+            (
+                {"topology": {"discs": {"centers": [[0, 0], [0.05, 0]], "radii": [1.0, 0.001],
+                                        "grid_step": 0.1}}},
+                "topology.discs",
+            ),
         ],
     )
     def test_bad_config_value(self, over, field, tmp_path, capsys):

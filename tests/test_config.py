@@ -267,6 +267,26 @@ class TestMalformedTopologyFields:
         assert exc.value.problem.startswith("must be ")
 
 
+class TestDiscGrid:
+    @pytest.mark.parametrize(
+        "discs, problem",
+        [
+            ({"centers": [[0, 0]], "radii": [1.0], "grid_step": 1e-308}, "grid_step"),
+            ({"centers": [[0, 0]], "radii": [1.0], "grid_step": 1e-6}, "grid_step"),
+            ({"centers": [[0, 0], [0.05, 0]], "radii": [1.0, 0.001], "grid_step": 0.1},
+             "disc 2 (radius 0.001) covers no grid point"),
+        ],
+    )
+    @pytest.mark.parametrize("eta", [0.0, 0.01])
+    def test_grid_problem_is_named(self, discs, problem, eta):
+        # With eta = 0 an uncovered station would otherwise be blamed on
+        # traffic.eta; with eta > 0 it would build and never see a request.
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(base_data(topology={"discs": discs}, traffic={"eta": eta}))
+        assert exc.value.field == "topology.discs"
+        assert problem in exc.value.problem
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize(
         "path",

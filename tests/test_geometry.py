@@ -1,9 +1,12 @@
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gibbscache as gc
+from gibbscache import geometry
 
 
 class TestFromSegments:
@@ -176,6 +179,122 @@ class TestFromDiscs:
         args[where] = bad
         with pytest.raises(ValueError, match="finite"):
             gc.from_discs([(args["x"], args["y"])], [args["radius"]], args["grid_step"])
+
+    @pytest.mark.parametrize("step", [1e-308, 1e-6])
+    def test_grid_too_fine_rejected(self, step):
+        # 1e-308 overflows the point count; 1e-6 would count 4e12 points.
+        with pytest.raises(ValueError, match=r"grid_step .* more than 100000000"):
+            gc.from_discs([(0.0, 0.0)], [1.0], step)
+
+    @pytest.mark.parametrize("radii", [[1.0, 1.0], [1.0, 8.0], [0.2, 0.3]])
+    def test_suggested_step_fits_the_cap(self, radii, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_GRID_POINTS", 1000)
+        centers = [(0.0, 0.0), (30.0, 0.0)]
+        with pytest.raises(ValueError, match="use a grid_step of at least") as exc:
+            gc.from_discs(centers, radii, 0.01)
+        fits = float(re.search(r"at least (\S+)$", str(exc.value)).group(1))
+        gc.from_discs(centers, radii, fits)
+
+    def test_disc_without_grid_point_rejected(self):
+        # No grid center at step 0.1 lies within 0.001 of (0.05, 0): station 2
+        # would be in no segment.
+        with pytest.raises(ValueError, match=r"disc 2 \(radius 0.001\).*grid_step below 0.001"):
+            gc.from_discs([(0.0, 0.0), (0.05, 0.0)], [1.0, 0.001], 0.1)
+        # 1e20 +- 1 rounds to 1e20: the grid has no column at all.
+        with pytest.raises(ValueError, match=r"disc 1 \(radius 1.0\) covers no grid point"):
+            gc.from_discs([(1e20, 0.0)], [1.0], 0.5)
+
+
+def reference_from_discs(centers, radii, grid_step):
+    """The per-point loop that ``from_discs`` vectorises: every grid center
+    tested against every disc."""
+    xmin = min(c[0] - r for c, r in zip(centers, radii))
+    xmax = max(c[0] + r for c, r in zip(centers, radii))
+    ymin = min(c[1] - r for c, r in zip(centers, radii))
+    ymax = max(c[1] + r for c, r in zip(centers, radii))
+    r2 = [r * r for r in radii]
+    cell_area = grid_step * grid_step
+    counts = {}
+    nx = int(math.ceil((xmax - xmin) / grid_step))
+    ny = int(math.ceil((ymax - ymin) / grid_step))
+    for ix in range(nx):
+        x = xmin + (ix + 0.5) * grid_step
+        for iy in range(ny):
+            y = ymin + (iy + 0.5) * grid_step
+            covering = frozenset(
+                j + 1
+                for j, ((cx, cy), rr2) in enumerate(zip(centers, r2))
+                if (x - cx) ** 2 + (y - cy) ** 2 <= rr2
+            )
+            if covering:
+                counts[covering] = counts.get(covering, 0) + 1
+    areas = {s: n * cell_area for s, n in counts.items()}
+    return gc.CellTopology(len(centers), areas)
+
+
+def area_bits(top):
+    """The segments in order, each with the bits of its area."""
+    return [(s, a.hex()) for s, a in top.segment_areas.items()]
+
+
+def assert_matches_reference(centers, radii, grid_step):
+    got = gc.from_discs(centers, radii, grid_step)
+    assert area_bits(got) == area_bits(reference_from_discs(centers, radii, grid_step))
+
+
+HEX7_CENTERS = [(0.0, 0.0)] + [
+    (1.6 * math.cos(math.pi / 3 * k), 1.6 * math.sin(math.pi / 3 * k)) for k in range(6)
+]
+
+
+def many_discs(n=70, seed=70):
+    rng = random.Random(seed)
+    centers = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
+    return centers, [rng.uniform(0.4, 1.0) for _ in range(n)]
+
+
+class TestFromDiscsMatchesReference:
+    @pytest.mark.parametrize("step", [0.04, 0.05])
+    def test_hex7(self, step):
+        assert_matches_reference(HEX7_CENTERS, [1.0] * 7, step)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_instances(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        centers = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)]
+        radii = [rng.uniform(0.3, 1.2) for _ in range(n)]
+        # 0.037 and 0.13 do not divide the bounding box.
+        assert_matches_reference(centers, radii, rng.choice([0.037, 0.05, 0.1, 0.13, 0.2]))
+
+    def test_identical_and_disjoint_discs(self):
+        assert_matches_reference([(0.0, 0.0)] * 3, [1.0] * 3, 0.05)
+        assert_matches_reference([(0.0, 0.0), (5.0, 0.0), (0.0, 4.0)], [1.0, 1.5, 0.5], 0.05)
+
+    def test_boundary_point_decided_by_float_pow(self):
+        # The grid point (-0.25, cy) lies on disc 2's rim: with glibc's pow,
+        # float ** 2 of its x offset exceeds r * r by one ulp while numpy's
+        # square of it equals r * r.
+        cy = -1 + 10.5 * 0.1
+        centers = [(0.0, 0.0), (0.1732340106813079, cy)]
+        assert_matches_reference(centers, [1.0, 0.4232340106813079], 0.1)
+
+    @pytest.mark.parametrize("n", [70, 140])
+    def test_more_than_64_discs(self, n):
+        # Codes of two and three words: disc 65 starts the second word and
+        # disc 129 the third.
+        centers, radii = many_discs(n)
+        top = gc.from_discs(centers, radii, 0.2)
+        assert any(max(s) > 64 * (n // 64) for s in top.segment_areas)
+        assert_matches_reference(centers, radii, 0.2)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_leaves_areas_unchanged(self, block, monkeypatch):
+        # Blocks smaller than a row split rows; block edges fall anywhere.
+        instances = [(HEX7_CENTERS, [1.0] * 7, 0.2), (*many_discs(), 0.3)]
+        expect = [area_bits(gc.from_discs(*args)) for args in instances]
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
+        assert [area_bits(gc.from_discs(*args)) for args in instances] == expect
 
 
 class TestNeighbors:
