@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -34,18 +34,18 @@ class ExperimentConfig:
     catalog: ContentCatalog
     cache_size: int
     gibbs: GibbsParams
-    learning: bool = False
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    schedule_kind: str = "linear"
-    schedule_t1: float = 10.0
-    schedule_ratio: float = 2.0
-    eta: float = 0.0
-    horizon: float = 10_000.0
-    slot_spacing: float = 1.0
-    n_windows: int = 12
-    seed: int = 0
-    record_events: bool = False
-    record_slots: bool = False
+    learning: bool
+    estimator: EstimatorConfig
+    schedule_kind: str
+    schedule_t1: float
+    schedule_ratio: float
+    eta: float
+    horizon: float
+    slot_spacing: float
+    n_windows: int
+    seed: int
+    record_events: bool
+    record_slots: bool
 
     def make_schedule(self) -> SnapshotSchedule:
         return SnapshotSchedule(self.schedule_kind, self.schedule_t1, self.schedule_ratio)
@@ -256,16 +256,20 @@ def build_config(data: dict) -> ExperimentConfig:
 
 
 def _check_annealing(cfg: ExperimentConfig) -> None:
-    """Gate beta0 against the oracle whenever exact enumeration is feasible."""
+    """Gate beta0 against the exact hit-rate extremes, or, where there are too
+    many states to enumerate, against closed-form bounds on them (which suffice)."""
+    top, cat, k = cfg.topology, cfg.catalog, cfg.cache_size
     try:
-        report = oracle.enumerate_optimal(cfg.topology, cfg.catalog, cfg.cache_size)
+        report = oracle.enumerate_optimal(top, cat, k)
+        h_min, h_max, basis = report.h_min, report.h_max, ""
     except CapacityError:
-        return  # too large for the exact gate; run at the user's risk
-    check = validate_beta0(cfg.gibbs.beta0, report.delta, report.h_max, cfg.topology.n_bs)
+        h_min, h_max = oracle.hit_rate_bounds(top, cat, k)
+        basis = f" (from the bounds h_max <= {h_max:.6g}, h_min >= {h_min:.6g})"
+    check = validate_beta0(cfg.gibbs.beta0, h_max - h_min, h_max, top.n_bs)
     if not check.ok:
         raise ConfigError(
             "gibbs.beta0",
-            "; ".join(check.violations),
+            "; ".join(check.violations) + basis,
             f"choose beta0 < {check.max_admissible:.6g}",
         )
 

@@ -69,8 +69,10 @@ def candidate_columns(m_contents: int, cache_size: int) -> list[tuple[int, ...]]
     """All K-subsets of content ids (1-based), lexicographic."""
     n = math.comb(m_contents, cache_size)
     if n > COND_ENUM_LIMIT:
+        # As a power of ten: Python prints no int of over 4,300 digits.
         raise CapacityError(
-            f"C({m_contents},{cache_size}) = {n} candidate columns exceeds limit {COND_ENUM_LIMIT}"
+            f"C({m_contents},{cache_size}) ~ 10^{math.log10(n):.1f} candidate columns "
+            f"exceeds limit {COND_ENUM_LIMIT}"
         )
     return [
         tuple(i + 1 for i in c)
@@ -185,10 +187,9 @@ def state_masks(
     """Candidate columns and their content bitmasks (bit ``i - 1`` set iff
     content ``i`` is stored), after gating the number of configurations."""
     cands = candidate_columns(m_contents, cache_size)
-    n_states = len(cands) ** n_bs
-    if n_states > STATE_ENUM_LIMIT:
+    if len(cands) ** n_bs > STATE_ENUM_LIMIT:
         raise CapacityError(
-            f"{n_states} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
+            f"{len(cands)}**{n_bs} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
         )
     return cands, [sum(1 << (i - 1) for i in c) for c in cands]
 

@@ -22,6 +22,8 @@ from .realcache import most_popular_columns
 # equal sums taken in different orders differ by a few ulps, at any scale.
 TIE_RTOL = 1e-13
 
+MIXTURE_GRID = 10_000  # the mixture search tries r = i / MIXTURE_GRID, i = 0..MIXTURE_GRID
+
 
 @dataclass(frozen=True)
 class OptimalityReport:
@@ -56,6 +58,17 @@ def enumerate_optimal(
     return OptimalityReport(argmax, h_max, min(rates))
 
 
+def hit_rate_bounds(top: CellTopology, cat: ContentCatalog, k: int) -> tuple[float, float]:
+    """Closed-form bounds (low <= h_min, h_max <= high): the stations of
+    segment s hold between K and min(|s|·K, M) distinct contents, so s earns
+    at least the K smallest rates and at most the min(|s|·K, M) largest."""
+    lam = sorted(cat.intensities)
+    areas = top.segment_areas.items()
+    low = sum(a * sum(lam[:k]) for _, a in areas)
+    high = sum(a * sum(lam[-min(len(s) * k, len(lam)):]) for s, a in areas)
+    return low, high
+
+
 def most_popular_placement(cat: ContentCatalog, n_bs: int, cache_size: int) -> Placement:
     """Every station caches the K most popular contents (ties to lower id)."""
     col = most_popular_columns(cat.intensities, cache_size)
@@ -79,9 +92,7 @@ def independent_hit_rate(top: CellTopology, cat: ContentCatalog, q) -> float:
     return total
 
 
-def optimize_two_content_mixture(
-    top: CellTopology, cat: ContentCatalog, step: float = 1e-4
-) -> tuple[float, float]:
+def optimize_two_content_mixture(top: CellTopology, cat: ContentCatalog) -> tuple[float, float]:
     """Best single-parameter independent placement for M=2, K=1.
 
     Every station stores content 1 with probability r and content 2
@@ -90,9 +101,8 @@ def optimize_two_content_mixture(
     if cat.m_contents != 2:
         raise ValueError("two-point mixture baseline is defined for M=2, K=1")
     best_r, best_v = 0.0, -math.inf
-    n = round(1.0 / step)
-    for idx in range(n + 1):
-        r = idx / n
+    for idx in range(MIXTURE_GRID + 1):
+        r = idx / MIXTURE_GRID
         q = np.tile([[r], [1.0 - r]], (1, top.n_bs))
         v = independent_hit_rate(top, cat, q)
         if v > best_v:

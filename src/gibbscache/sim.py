@@ -30,7 +30,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
 from math import log
 from operator import or_
 
@@ -42,8 +41,8 @@ from .gibbs import GibbsParams, StateKey
 from .model import ContentCatalog, mask_hit_rate
 from .geometry import CellTopology
 
-# Requests drawn and served per block.  Any size gives the same trace; the
-# block buffers grow with it.
+# Requests drawn and served per block.  Any size gives the same trace; every
+# block array has this many entries.
 _CHUNK = 1 << 10
 
 STREAM_NAMES = (
@@ -226,12 +225,9 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     # Arrival marks: running sums of popularity and segment area, as in
     # traffic.next_request.
-    cum_lam = list(accumulate(cat.intensities))
-    total_lam = cum_lam[-1]
-    cum_area = list(accumulate(core.seg_areas))
-    total_area = cum_area[-1]
-    total_rate = total_lam * total_area
-    cum_lam, cum_area = np.array(cum_lam), np.array(cum_area)
+    cum_lam = np.cumsum(cat.intensities)
+    cum_area = np.cumsum(core.seg_areas)
+    total_rate = cum_lam[-1] * cum_area[-1]
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
     seg_keys = [tuple(bs) for bs in seg_bs]
@@ -305,7 +301,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         after its first store."""
         nonlocal real_key, cur_h, last_change
         while a < b:
-            # Gathers into the block buffers: "clip" takes no temporary
+            # Gathers into the flag buffers: "clip" takes no temporary
             # (every index is in range), so no array is sized by the span.
             hit = np.take(held_at, hit_at[a:b], out=hit_flags[a:b], mode="clip")
             # A miss stores iff the snapshot lists the content at its station.
@@ -347,6 +343,10 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                     j = holders[int(pick[r] * len(holders))]
             events.append((time_at[r], i0 + 1, seg_keys[q], j, action))
 
+    def marks(gen: np.random.Generator, cum: np.ndarray) -> np.ndarray:
+        # A block of marks by inverse CDF over the running sums ``cum``.
+        return np.minimum(np.searchsorted(cum, gen.random(_CHUNK) * cum[-1], "right"), len(cum) - 1)
+
     def feed(a: int, b: int) -> None:
         # record_arrival reads the server of explored requests only, which
         # ``station`` holds.
@@ -363,50 +363,33 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     step = core.step
     columns = core.columns
     record_arrival = core.record_arrival
-    # Block buffers, filled with out=: numpy keeps up to seven freed buffers
-    # of each size under 1 KiB for reuse, so arrays sized by a span of
-    # requests would pile up over many runs.
-    u = np.empty(_CHUNK)
-    server_u = np.empty(2 * _CHUNK)
-    times = np.empty(_CHUNK)
-    time_at = memoryview(times)  # reads Python floats, as bisect wants
-    content, segment, station, served_at, hit_at, window = (
-        np.empty(_CHUNK, np.int64) for _ in range(6)
-    )
-    explore, hit_flags, stores = (np.empty(_CHUNK, bool) for _ in range(3))
+    # resolve's flags, the only per-run arrays: it writes them span by span
+    # with np.take(out=), as arrays sized by a span would pile up in numpy's
+    # cache of freed buffers under 1 KiB over many runs.
+    hit_flags, stores = np.empty(_CHUNK, bool), np.empty(_CHUNK, bool)
 
     while True:
         # The next block of arrivals before the horizon.  Exponential
         # inter-arrivals as random.expovariate draws them, summed in order:
         # np.log can differ from math.log in the last bit.
-        np.subtract(1.0, arr_gen.random(out=u), out=u)
-        np.divide(np.fromiter(map(log, memoryview(u)), float, _CHUNK), -total_rate, out=times)
+        u = 1.0 - arr_gen.random(_CHUNK)
+        times = np.fromiter(map(log, memoryview(u)), float, _CHUNK) / -total_rate
         times[0] += tau
-        np.cumsum(times, out=times)
+        times = np.cumsum(times)
+        time_at = memoryview(times)  # reads Python floats, as bisect wants
         n = int(np.searchsorted(times, horizon))
-        for gen, cum, total, out in (
-            (content_gen, cum_lam, total_lam, content),
-            (segment_gen, cum_area, total_area, segment),
-        ):
-            np.multiply(gen.random(out=u), total, out=u)
-            np.minimum(np.searchsorted(cum, u, "right"), len(cum) - 1, out=out)
+        content, segment = marks(content_gen, cum_lam), marks(segment_gen, cum_area)
         # Two server-pick draws per request, as traffic.assign_server takes
         # them: exploration, then the pick.  ``station`` is the covering
-        # station at the pick; it serves every explored request and every miss.
-        server_gen.random(out=server_u)
-        np.less(server_u[0::2], eta, out=explore)
-        pick = server_u[1::2]
-        np.multiply(pick, n_cover[segment], out=u)
-        np.copyto(station, u, casting="unsafe")  # truncates, as int() does
-        np.take(cover, np.add(station, first[segment], out=station), out=station)
-        np.add(station, n_seg, out=served_at)
-        np.multiply(served_at, m, out=served_at)
-        np.add(served_at, content, out=served_at)
+        # station at the pick (truncated, as int() does); it serves every
+        # explored request and every miss.
+        server_u = server_gen.random(2 * _CHUNK)
+        explore, pick = server_u[0::2] < eta, server_u[1::2]
+        station = cover[(pick * n_cover[segment]).astype(np.int64) + first[segment]]
+        served_at = (station + n_seg) * m + content
         # Explored requests hit iff their station holds the content, the
         # others iff some covering station does.
-        np.multiply(segment, m, out=hit_at)
-        np.add(hit_at, content, out=hit_at)
-        np.copyto(hit_at, served_at, where=explore)
+        hit_at = np.where(explore, served_at, segment * m + content)
         if learning:
             segment_l, content_l = segment[:n].tolist(), content[:n].tolist()
             station_l, explore_l = station[:n].tolist(), explore[:n].tolist()
@@ -449,11 +432,9 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         resolve(done, n)
         if learning:
             feed(fed, n)
-        np.divide(times, wlen, out=u)
-        np.minimum(u, n_windows - 1, out=window, casting="unsafe")
+        window = np.minimum(times / wlen, n_windows - 1).astype(np.int64)
         # Count window w's misses at 2w and its hits at 2w + 1.
-        np.add(window, window, out=window)
-        counts = np.bincount(np.add(window, hit_flags, out=window)[:n], minlength=2 * n_windows)
+        counts = np.bincount((2 * window + hit_flags)[:n], minlength=2 * n_windows)
         misses += counts[0::2]
         hits += counts[1::2]
         if n < _CHUNK:

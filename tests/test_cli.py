@@ -240,6 +240,17 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["optimal", "--config", "no/such/file.json"]) == 2
 
+    def test_capacity_error_on_huge_count(self, tmp_path, capsys):
+        # 4060**1300 states: the count has about 4,700 digits.
+        cfg = write_cfg(
+            tmp_path,
+            topology={"intervals": [[3 * j, 3 * j + 5] for j in range(1300)]},
+            catalog={"intensities": [0.1 / i for i in range(1, 31)]},
+            cache={"capacity": 3},
+        )
+        assert main(["optimal", "--config", cfg]) == 3
+        assert "capacity error: 4060**1300 configurations" in capsys.readouterr().err
+
     def test_capacity_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

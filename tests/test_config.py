@@ -147,6 +147,24 @@ class TestBuildConfig:
             gc.build_config(base_data(gibbs={"mode": "annealed", "beta0": 1.5}))
         assert "beta0" in str(exc.value)
 
+    def test_annealing_gate_beyond_enumeration(self):
+        # line30 (4060**30 states) is gated by closed-form hit-rate bounds,
+        # h_max <= 20.44 and h_min >= 0.952, which admit beta0 < 0.00171.
+        data = {
+            "topology": {"intervals": [[3 * j, 3 * j + 5] for j in range(30)]},
+            "catalog": {"intensities": [0.1 / i for i in range(1, 31)]},
+            "cache": {"capacity": 3},
+            "gibbs": {"mode": "annealed", "beta0": 1.0},
+            "traffic": {"eta": 0.01},
+        }
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == "gibbs.beta0"
+        assert "h_max <= 20.4433" in exc.value.problem
+        assert exc.value.remedy == "choose beta0 < 0.0017102"
+        data["gibbs"]["beta0"] = 0.001
+        assert gc.build_config(data).gibbs.beta0 == 0.001
+
     def test_error_carries_remedy(self):
         try:
             gc.build_config(base_data(gibbs={"mode": "annealed", "beta0": 5.0}))

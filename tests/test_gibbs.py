@@ -11,6 +11,7 @@ from gibbscache.gibbs import (
     candidate_columns,
     enumerate_states,
     expected_hit_rates,
+    state_masks,
     state_rates,
     transition_matrices,
     transition_matrix,
@@ -48,6 +49,19 @@ class TestCandidateColumns:
     def test_capacity_gate(self):
         with pytest.raises(CapacityError):
             candidate_columns(60, 30)
+
+
+class TestGatesOnHugeCounts:
+    # Python will not print an int of over 4,300 digits, so the gates must
+    # state these counts without converting them.
+    def test_candidate_columns(self):
+        with pytest.raises(CapacityError, match=r"C\(20000,10000\) ~ 10\^6018\.4"):
+            candidate_columns(20000, 10000)
+
+    def test_state_masks(self):
+        # 4060**1300 has about 4,700 digits.
+        with pytest.raises(CapacityError, match=r"4060\*\*1300 configurations"):
+            state_masks(30, 1300, 3)
 
 
 class TestConditionalDistribution:

@@ -6,7 +6,7 @@ import pytest
 import gibbscache as gc
 from gibbscache.errors import CapacityError
 from gibbscache.gibbs import enumerate_states
-from gibbscache.oracle import TIE_RTOL
+from gibbscache.oracle import TIE_RTOL, hit_rate_bounds
 from conftest import random_instance
 
 
@@ -68,6 +68,22 @@ class TestEnumerateOptimal:
         cat = gc.ContentCatalog(tuple([0.1] * 12))
         with pytest.raises(CapacityError):
             gc.enumerate_optimal(top, cat, 6)
+
+
+class TestHitRateBounds:
+    def test_bracket_exact_extremes(self):
+        rng = random.Random(17)
+        for top, cat, k in [random_instance(rng, max_n=4, max_m=6, max_k=3) for _ in range(40)]:
+            report = gc.enumerate_optimal(top, cat, k)
+            low, high = hit_rate_bounds(top, cat, k)
+            assert low <= report.h_min * (1 + TIE_RTOL)
+            assert report.h_max <= high * (1 + TIE_RTOL)
+
+    def test_line_instance(self, line2_topology, line2_catalog):
+        # Segment {1, 2} can hold both contents; alone, each station holds one.
+        low, high = hit_rate_bounds(line2_topology, line2_catalog, 1)
+        assert low == pytest.approx(0.45, abs=1e-12)
+        assert high == pytest.approx(0.775, abs=1e-12)
 
 
 class TestMostPopularPlacement:

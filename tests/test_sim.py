@@ -296,7 +296,7 @@ class TestRunInvariance:
             assert dataclasses.replace(trace, events=None, slots=None) == bare
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("name", ["line3-stores", "line2-explore-learn"])
+    @pytest.mark.parametrize("name", ["hex7", "line3-stores", "line2-explore-learn"])
     def test_block_size_leaves_trace_unchanged(self, name, chunk, line2_config, monkeypatch):
         # Block edges fall between arrivals, slots, snapshots and stores in
         # every combination at these sizes.
@@ -304,6 +304,10 @@ class TestRunInvariance:
         expect = gc.run(cfg, seed=3)
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         assert gc.run(cfg, seed=3) == expect
+
+    def test_default_seed_is_the_configs(self, line2_config):
+        cfg = _cfg(line2_config, horizon=500.0, seed=7)
+        assert gc.run(cfg) == gc.run(cfg, seed=7)
 
 
 @pytest.fixture(scope="module")
