@@ -201,7 +201,7 @@ def cmd_reproduce_fig2(cfg: ExperimentConfig, args) -> None:
             }
         )
         rows.append([beta, exact, base.get("independent_opt"), base["most_popular"]])
-    payload = {"curves": entries, "h_max": max(rates)}
+    payload = {"curves": entries, "h_max": float(rates.max())}
     _emit(payload, ["beta", "gibbs", "independent", "most_popular"], rows, args)
 
 

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from . import geometry, oracle
 from .errors import CapacityError, ConfigError
-from .gibbs import GibbsParams, validate_beta0
+from .gibbs import GibbsParams, state_rates, validate_beta0
 from .geometry import CellTopology
 from .model import ContentCatalog
 from .realcache import SnapshotSchedule
@@ -256,16 +256,26 @@ def build_config(data: dict) -> ExperimentConfig:
 
 
 def _check_annealing(cfg: ExperimentConfig) -> None:
-    """Gate beta0 against the exact hit-rate extremes, or, where there are too
-    many states to enumerate, against closed-form bounds on them (which suffice)."""
+    """Gate beta0 against the hit-rate extremes.
+
+    Closed-form bounds contain the extremes (h_max <= high, h_min >= low), so
+    a beta0 that they admit is admissible and needs no scan of the states.
+    Otherwise the exact extremes decide, or, where there are too many states
+    to enumerate, the bounds.
+    """
     top, cat, k = cfg.topology, cfg.catalog, cfg.cache_size
-    try:
-        report = oracle.enumerate_optimal(top, cat, k)
-        h_min, h_max, basis = report.h_min, report.h_max, ""
-    except CapacityError:
-        h_min, h_max = oracle.hit_rate_bounds(top, cat, k)
-        basis = f" (from the bounds h_max <= {h_max:.6g}, h_min >= {h_min:.6g})"
-    check = validate_beta0(cfg.gibbs.beta0, h_max - h_min, h_max, top.n_bs)
+    beta0, n_bs = cfg.gibbs.beta0, top.n_bs
+    h_min, h_max = oracle.hit_rate_bounds(top, cat, k)
+    check = validate_beta0(beta0, h_max - h_min, h_max, n_bs)
+    basis = f" (from the bounds h_max <= {h_max:.6g}, h_min >= {h_min:.6g})"
+    if not check.ok:
+        try:
+            rates = state_rates(top, cat, k)[1]
+        except CapacityError:
+            pass
+        else:
+            h_min, h_max, basis = float(rates.min()), float(rates.max()), ""
+            check = validate_beta0(beta0, h_max - h_min, h_max, n_bs)
     if not check.ok:
         raise ConfigError(
             "gibbs.beta0",

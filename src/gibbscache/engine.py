@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .config import EstimatorConfig
 from .geometry import CellTopology
+from .gibbs import check_beta
 from .model import ContentCatalog
 from .realcache import most_popular_columns
 
@@ -185,6 +186,8 @@ class FastCore:
         """Resample the column of station ``j0`` by inverse CDF at uniform
         ``u`` over the lexicographic K-subsets; returns the new column.
         """
+        if not 0 <= beta < math.inf:  # checked inline: a step runs every slot
+            check_beta(beta)
         new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
         if new != self.col[j0]:
             # Placement keys that callers keep share one tuple per column.

@@ -8,17 +8,21 @@ of the catalog.  Enumerating them here is the readable reference and test
 oracle; ``engine.FastCore`` samples the same law without enumeration.
 
 The exact tools enumerate every configuration.  :func:`state_rates` is their
-one scan of hit rates, as per-station content bitmasks through
-``model.mask_hit_rate`` (the same floats as ``model.hit_rate``).  The
-transition kernels of the sampler are read from it too (:func:`transition_matrices`).
+one scan of hit rates.  The hit rate is a sum of segment terms, ``area_s *
+rate(union of the masks of s's stations)``, so the scan adds one table per
+segment, over the columns of that segment's stations only, broadcast over
+the other stations, in the canonical segment order: every state gets the
+additions of ``model.mask_hit_rate`` in its order, and the floats of
+``model.hit_rate``.  The transition kernels of the sampler are read from it
+too (:func:`transition_matrices`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -26,13 +30,28 @@ import numpy as np
 
 from .errors import CapacityError
 from .geometry import CellTopology
-from .model import ContentCatalog, Placement, local_energy, mask_hit_rate
+from .model import ContentCatalog, Placement, UnionRates, local_energy
 from .model import hit_rate  # noqa: F401  perfbench's tracer test checks this binding
 
 # Exact computations are gated so tests stay desk-scale; the sampler itself
 # has no catalog-size limit.
 COND_ENUM_LIMIT = 100_000  # candidate columns per conditional step
 STATE_ENUM_LIMIT = 1_000_000  # full configuration space
+SCAN_BLOCK = 1 << 16  # segment-table entries per block of the state scan (at least one row)
+
+
+def check_beta(beta: float) -> float:
+    """``beta`` if it is a finite number >= 0; else ``ValueError`` naming it."""
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be a finite number >= 0, got {beta!r}")
+    return beta
+
+
+def check_beta0(beta0: float) -> float:
+    """``beta0`` if it is a finite number > 0; else ``ValueError`` naming it."""
+    if not 0 < beta0 < math.inf:
+        raise ValueError(f"beta0 must be a finite number > 0, got {beta0!r}")
+    return beta0
 
 
 @dataclass(frozen=True)
@@ -46,10 +65,10 @@ class GibbsParams:
     def __post_init__(self):
         if self.mode not in ("fixed", "annealed"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "fixed" and self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.mode == "annealed" and self.beta0 <= 0:
-            raise ValueError("beta0 must be > 0")
+        if self.mode == "fixed":
+            check_beta(self.beta)
+        else:
+            check_beta0(self.beta0)
 
     def beta_at(self, t: int, n_bs: int) -> float:
         if self.mode == "fixed":
@@ -74,10 +93,7 @@ def candidate_columns(m_contents: int, cache_size: int) -> list[tuple[int, ...]]
             f"C({m_contents},{cache_size}) ~ 10^{math.log10(n):.1f} candidate columns "
             f"exceeds limit {COND_ENUM_LIMIT}"
         )
-    return [
-        tuple(i + 1 for i in c)
-        for c in itertools.combinations(range(m_contents), cache_size)
-    ]
+    return list(itertools.combinations(range(1, m_contents + 1), cache_size))
 
 
 def conditional_distribution(
@@ -93,8 +109,7 @@ def conditional_distribution(
     maximum exponent is subtracted before exponentiation so large ``beta *
     energy`` values cannot overflow.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    check_beta(beta)
     cands = candidate_columns(cat.m_contents, V.cache_size)
     energies = np.array([local_energy(top, cat, V.with_column(j, c), j) for c in cands])
     exponents = beta * energies
@@ -134,8 +149,8 @@ def anneal_beta(beta0: float, t: int, n_bs: int) -> float:
 
     Constant within each N-slot period; zero during the first period.
     """
-    if beta0 <= 0:
-        raise ValueError("beta0 must be > 0")
+    if not 0 < beta0 < math.inf:  # checked inline: beta_at runs every slot
+        check_beta0(beta0)
     return beta0 * math.log(1 + t // n_bs)
 
 
@@ -191,7 +206,8 @@ def state_masks(
         raise CapacityError(
             f"{len(cands)}**{n_bs} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
         )
-    return cands, [sum(1 << (i - 1) for i in c) for c in cands]
+    bits = [1 << i for i in range(m_contents)]
+    return cands, list(map(sum, itertools.combinations(bits, cache_size)))
 
 
 def enumerate_states(
@@ -205,19 +221,44 @@ def enumerate_states(
 
 def state_rates(
     top: CellTopology, cat: ContentCatalog, cache_size: int
-) -> tuple[list[tuple[int, ...]], array]:
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Candidate columns and the hit rate of every state, in the order of
-    ``product(cands, repeat=N)`` (:func:`enumerate_states`), 8 bytes per state."""
+    ``product(cands, repeat=N)`` (:func:`enumerate_states`), 8 bytes per state.
+
+    Segment s adds ``area_s * rate(union of its stations' masks)`` to every
+    state.  The distinct unions of its stations after the first are numbered
+    one station at a time (``ids``: the union number of each column tuple),
+    so its terms form a table over (first station's column, union number).
+    That table is gathered in blocks of the first station's columns, each
+    broadcast over the stations outside s and added to the states.
+    """
     cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
-    h = mask_hit_rate(top, cat)
-    return cands, array("d", map(h, itertools.product(masks, repeat=top.n_bs)))
+    n, c = top.n_bs, len(cands)
+    rate = UnionRates(cat)
+    rates = np.zeros(c**n)
+    grid = rates.reshape((c,) * n)
+    for s, area in top.segment_areas.items():
+        first, *rest = sorted(j - 1 for j in s)
+        # One station's masks are distinct, so its columns number themselves.
+        unions, ids = (masks, slice(None)) if rest else ([0], 0)
+        for _ in rest[1:]:
+            index: dict[int, int] = {}
+            numbers = [index.setdefault(u | b, len(index)) for u in unions for b in masks]
+            unions = list(index)
+            ids = np.array(numbers).reshape(-1, c)[ids]
+        terms = np.array([area * rate[b | u] for b in masks for u in unions]).reshape(c, -1)
+        shape = [-1] + [c if j in rest else 1 for j in range(first + 1, n)]
+        lead = (slice(None),) * first
+        rows = max(1, SCAN_BLOCK // c ** len(rest))
+        for a in range(0, c, rows):
+            block = grid[lead + (slice(a, a + rows),)]
+            block += terms[a : a + rows, ids].reshape(shape)
+    return cands, rates
 
 
-def _gibbs_weights(rates: array, beta: float) -> list[float]:
+def _gibbs_weights(rates: np.ndarray, beta: float) -> list[float]:
     """exp(beta * h) / Z over ``rates``, the maximum exponent subtracted."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    exponents = beta * np.frombuffer(rates)
+    exponents = check_beta(beta) * rates
     weights = np.exp(exponents - exponents.max())
     return (weights / weights.sum()).tolist()
 
@@ -231,10 +272,12 @@ def stationary_distribution(
     return dict(zip(states, _gibbs_weights(rates, beta)))
 
 
-def expected_hit_rates(rates: array, betas: Iterable[float]) -> list[float]:
+def expected_hit_rates(rates: np.ndarray, betas: Iterable[float]) -> list[float]:
     """Expected network hit rate under the exact Gibbs distribution at each
-    beta, from the hit rates of every state (:func:`state_rates`)."""
-    return [sum(p * h for p, h in zip(_gibbs_weights(rates, b), rates)) for b in betas]
+    beta, from the hit rates of every state (:func:`state_rates`), summed in
+    state order."""
+    h = rates.tolist()
+    return [sum(map(operator.mul, _gibbs_weights(rates, b), h)) for b in betas]
 
 
 def expected_hit_rate(
@@ -244,7 +287,7 @@ def expected_hit_rate(
     return expected_hit_rates(state_rates(top, cat, cache_size)[1], [beta])[0]
 
 
-def transition_matrices(rates: array, n_bs: int, betas: Iterable[float]) -> np.ndarray:
+def transition_matrices(rates: np.ndarray, n_bs: int, betas: Iterable[float]) -> np.ndarray:
     """Exact single-step transition matrices of the uniform-site sampler, one
     per beta, over the states of :func:`state_rates` in its order.
 
@@ -252,16 +295,14 @@ def transition_matrices(rates: array, n_bs: int, betas: Iterable[float]) -> np.n
     conditional law is exp(beta * h) normalised over the states that differ
     only in column j.
     """
-    betas = np.fromiter(betas, dtype=float)
-    if (betas < 0).any():
-        raise ValueError("beta must be >= 0")
-    h = np.frombuffer(rates)
-    n_cands = round(len(h) ** (1 / n_bs))
-    P = np.zeros((len(betas), len(h), len(h)))
+    betas = np.fromiter(map(check_beta, betas), dtype=float)
+    n_states = len(rates)
+    n_cands = round(n_states ** (1 / n_bs))
+    P = np.zeros((len(betas), n_states, n_states))
     for j in range(n_bs):
         # State indices on the axes (columns before j, column j, columns after j).
-        cell = np.arange(len(h)).reshape(n_cands**j, n_cands, -1)
-        exponents = betas[:, None, None, None] * h[cell]
+        cell = np.arange(n_states).reshape(n_cands**j, n_cands, -1)
+        exponents = betas[:, None, None, None] * rates[cell]
         weights = np.exp(exponents - exponents.max(axis=2, keepdims=True))
         law = weights / weights.sum(axis=2, keepdims=True)
         # From each state to each state that differs from it only in column j.

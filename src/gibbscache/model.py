@@ -149,6 +149,24 @@ def hit_rate(top: CellTopology, cat: ContentCatalog, B: Placement) -> float:
     return total
 
 
+class UnionRates(dict):
+    """Request rate of the contents of a bitmask, memoized: ``rates[union]``,
+    bit ``i - 1`` set iff content ``i`` is in the union.
+
+    The one rule for the rate of a union of caches, read by
+    :func:`mask_hit_rate` and ``gibbs.state_rates``.  It sums the
+    intensities in content order, the sum of :func:`hit_rate`.
+    """
+
+    def __init__(self, cat: ContentCatalog):
+        self.lam = cat.intensities
+
+    def __missing__(self, union: int) -> float:
+        lam = self.lam
+        rate = self[union] = sum(lam[i] for i in range(len(lam)) if union >> i & 1)
+        return rate
+
+
 def mask_hit_rate(top: CellTopology, cat: ContentCatalog) -> Callable[[Sequence[int]], float]:
     """Hit rate as a function of per-station content bitmasks.
 
@@ -157,10 +175,8 @@ def mask_hit_rate(top: CellTopology, cat: ContentCatalog) -> Callable[[Sequence[
     the same order as :func:`hit_rate`, so the two agree exactly.  Rates of
     segment unions are memoized inside ``h``.
     """
-    lam = cat.intensities
-    m = len(lam)
+    rates = UnionRates(cat)
     segments = [([j - 1 for j in s], area) for s, area in top.segment_areas.items()]
-    rate_of_mask: dict[int, float] = {}
 
     def h(masks: Sequence[int]) -> float:
         total = 0.0
@@ -168,10 +184,7 @@ def mask_hit_rate(top: CellTopology, cat: ContentCatalog) -> Callable[[Sequence[
             union = 0
             for j in cols:
                 union |= masks[j]
-            rate = rate_of_mask.get(union)
-            if rate is None:
-                rate = rate_of_mask[union] = sum(lam[i] for i in range(m) if union >> i & 1)
-            total += area * rate
+            total += area * rates[union]
         return total
 
     return h

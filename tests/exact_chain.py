@@ -22,12 +22,11 @@ class ExactChain:
         self.states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_bs = top.n_bs
-        self.rates = state_rates(top, cat, cache_size)[1]
-        self.h = np.array(self.rates)
+        self.h = state_rates(top, cat, cache_size)[1]
 
     def kernels(self, betas) -> np.ndarray:
         """One-slot transition matrices, one per entry of ``betas``."""
-        return transition_matrices(self.rates, self.n_bs, betas)
+        return transition_matrices(self.h, self.n_bs, betas)
 
     def step(self, mu: np.ndarray, beta: float) -> np.ndarray:
         return mu @ self.kernels([beta])[0]

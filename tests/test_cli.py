@@ -4,7 +4,7 @@ import pytest
 
 import gibbscache.gibbs
 from gibbscache.cli import main
-from gibbscache.model import mask_hit_rate
+from gibbscache.gibbs import state_rates
 
 REF_CONFIG = "configs/two_station_line.json"
 
@@ -142,17 +142,17 @@ class TestSweeps:
 
     @pytest.mark.parametrize("command, scans", [("sweep-beta", 1), ("reproduce-fig2", 1)])
     def test_one_scan_for_all_betas(self, command, scans, tmp_path, monkeypatch, capsys):
-        # Every scan of the states builds one hit-rate function through gibbs.
-        builds = []
+        # Every scan of the states is one gibbs.state_rates call.
+        calls = []
 
-        def counting(top, cat):
-            builds.append((top, cat))
-            return mask_hit_rate(top, cat)
+        def counting(top, cat, cache_size):
+            calls.append((top, cat, cache_size))
+            return state_rates(top, cat, cache_size)
 
-        monkeypatch.setattr(gibbscache.gibbs, "mask_hit_rate", counting)
+        monkeypatch.setattr(gibbscache.gibbs, "state_rates", counting)
         cfg = write_cfg(tmp_path, sim={"horizon": 200, "seed": 1})
         assert main([command, "--config", cfg, "--betas", "0,1,2"]) == 0
-        assert len(builds) == scans
+        assert len(calls) == scans
 
 
 class TestFlags:

@@ -213,3 +213,10 @@ class TestValidation:
             FastCore(line2_topology, line2_catalog, 2).set_columns([(1, 1), (1, 2)])
         # A rejected placement leaves the state as it was.
         assert core.columns() == ((1,), (1,))
+
+    @pytest.mark.parametrize("beta", [-1.0, math.inf, math.nan])
+    def test_step_rejects_bad_beta(self, beta, line2_topology, line2_catalog):
+        core = FastCore(line2_topology, line2_catalog, 1)
+        with pytest.raises(ValueError, match=f"got {beta!r}"):
+            core.step(0, beta, 0.5)
+        assert core.columns() == ((1,), (1,))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,15 @@ class TestAnnealSchedule:
         with pytest.raises(ValueError):
             gc.GibbsParams(mode="tempered")
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_params_rejected(self, value):
+        with pytest.raises(ValueError, match=f"beta must be a finite number >= 0, got {value!r}"):
+            gc.GibbsParams(mode="fixed", beta=value)
+        with pytest.raises(ValueError, match=f"beta0 must be a finite number > 0, got {value!r}"):
+            gc.GibbsParams(mode="annealed", beta0=value)
+        with pytest.raises(ValueError, match="beta0 must be a finite number > 0"):
+            gc.anneal_beta(value, 5, 2)
+
 
 class TestValidateBeta0:
     # Line-instance extremes: h_max = 0.765, spread delta = 0.315, N = 2.
@@ -307,6 +317,22 @@ class TestExpectedHitRate:
         with pytest.raises(ValueError):
             transition_matrices(rates, 2, [1.0, -0.5])
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_rejected(self, beta, line2_topology, line2_catalog):
+        # Each entry point names the value instead of returning a NaN law.
+        named = f"beta must be a finite number >= 0, got {beta!r}"
+        for exact in (gc.stationary_distribution, gc.expected_hit_rate, transition_matrix):
+            with pytest.raises(ValueError, match=named):
+                exact(line2_topology, line2_catalog, 1, beta)
+        rates = state_rates(line2_topology, line2_catalog, 1)[1]
+        with pytest.raises(ValueError, match=named):
+            expected_hit_rates(rates, [1.0, beta])
+        with pytest.raises(ValueError, match=named):
+            transition_matrices(rates, 2, [1.0, beta])
+        B = gc.Placement.from_columns(2, [(1,), (2,)], 1)
+        with pytest.raises(ValueError, match=named):
+            gc.conditional_distribution(line2_topology, line2_catalog, B, 1, beta)
+
 
 class TestBitmaskLaw:
     """``state_rates`` evaluates each state as bitmasks; its rates must equal
@@ -347,6 +373,68 @@ class TestBitmaskLaw:
             radii = [rng.uniform(0.5, 1.5) for _ in range(n)]
             top = gc.from_discs(centers, radii, 0.1)
             self.check(top, *self.random_catalog(rng))
+
+    @staticmethod
+    def check_mask_map(top, cat, k):
+        """The scan's rates are the per-state ``mask_hit_rate`` map, bit for bit."""
+        _, rates = state_rates(top, cat, k)
+        _, masks = state_masks(cat.m_contents, top.n_bs, k)
+        h = gc.mask_hit_rate(top, cat)
+        ref = np.array(list(map(h, itertools.product(masks, repeat=top.n_bs))))
+        assert rates.dtype == np.float64 and rates.shape == ref.shape
+        assert rates.tobytes() == ref.tobytes()
+
+    def test_segment_of_stations_apart(self):
+        # Stations 2 and 3 do not meet, so segment {1, 3} skips an axis.
+        top = gc.from_intervals([(0, 10), (2, 3), (5, 8)])
+        assert frozenset({1, 3}) in top.segment_areas
+        self.check_mask_map(top, gc.ContentCatalog((0.5, 0.2, 0.9, 0.4, 0.3)), 2)
+
+    def test_segment_of_every_station(self):
+        top = gc.from_intervals([(0, 10), (1, 9), (2, 8), (3, 7)])
+        assert frozenset({1, 2, 3, 4}) in top.segment_areas
+        self.check_mask_map(top, gc.ContentCatalog((0.5, 0.2, 0.9, 0.4, 0.3)), 2)
+
+    def test_random_discs_with_triple_overlaps(self):
+        rng = random.Random(63)
+        sizes = set()
+        for _ in range(8):
+            n = rng.randint(3, 4)
+            centers = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+            top = gc.from_discs(centers, [rng.uniform(0.6, 1.2) for _ in range(n)], 0.1)
+            sizes.update(len(s) for s in top.segment_areas)
+            self.check_mask_map(top, *self.random_catalog(rng))
+        assert max(sizes) >= 3
+
+    def test_random_segment_sets(self):
+        rng = random.Random(64)
+        for _ in range(60):
+            self.check_mask_map(*random_instance(rng, max_n=4))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_leaves_rates_unchanged(self, block, monkeypatch):
+        monkeypatch.setattr(gc.gibbs, "SCAN_BLOCK", block)
+        self.check_mask_map(*three_stations(6), 2)
+        top = gc.from_intervals([(0, 10), (1, 9), (2, 8), (3, 7)])
+        self.check_mask_map(top, gc.ContentCatalog((0.5, 0.2, 0.9, 0.4, 0.3)), 2)
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [[(0, 2), (1, 3), (2, 4), (3, 5)], [(0, 10), (1, 9), (2, 8), (3, 7)]],
+        ids=["chained", "nested"],
+    )
+    def test_scan_peak_memory(self, intervals):
+        # 28**4 states: the scan holds its 8-byte rates and at most one block.
+        top = gc.from_intervals(intervals)
+        cat = gc.ContentCatalog(tuple(0.1 / i for i in range(1, 9)))
+        tracemalloc.start()
+        try:
+            rates = state_rates(top, cat, 2)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rates) == 28**4
+        assert peak <= 16 * len(rates)
 
 
 def rowwise_transition_matrix(top, cat, k, beta):
