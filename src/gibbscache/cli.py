@@ -250,6 +250,11 @@ def main(argv: list[str] | None = None) -> int:
                 if not 0 < args.horizon < math.inf:
                     raise ConfigError("--horizon", "must be positive and finite")
                 cfg = dataclasses.replace(cfg, horizon=args.horizon)
+        if args.out_dir:  # before any work, which could take long
+            try:
+                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError("--out-dir", f"cannot be created: {exc}") from exc
         args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

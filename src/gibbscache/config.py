@@ -287,12 +287,12 @@ def _check_annealing(cfg: ExperimentConfig) -> None:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config file (JSON)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(str(path), "file not found")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(str(path), f"cannot be read: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top level must be a JSON object")
     return build_config(data)

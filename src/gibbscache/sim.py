@@ -7,14 +7,17 @@ Traces aggregate occupancy, hit counts, and the hit-rate integral into a
 fixed number of equal time windows so burn-in / final-third statistics can
 be extracted without storing per-event logs; full logs are optional.
 
-Requests are drawn and served in blocks.  A request's server draws do not
-depend on the caches (see ``traffic.assign_server``), so at a fixed real
+Requests are drawn in blocks, and each block runs in two passes, as nothing
+the real caches do feeds back into the sampler.  The first fires the
+block's slot updates, fed the arrivals before each when the chain learns
+the rates, and records at each snapshot boundary a refresh: the first
+request it applies to and a copy of the virtual masks.  The second serves
+the requests span by span between refreshes.  A request's server draws do
+not depend on the caches (see ``traffic.assign_server``), so at a fixed real
 state it hits iff a covering station holds the content, or, if it explores,
 iff the covering station its draw picks does; that station serves a miss,
-which stores iff the snapshot lists the content there.  A block is resolved
-with array lookups up to its next store, and each store is applied on its
-own.  The virtual chain advances slot by slot in between, fed the arrivals
-before each slot when it learns the rates.
+which stores iff the snapshot lists the content there.  Requests are looked
+up in arrays up to the next store, and each store is applied on its own.
 
 All randomness flows from one seed expanded into named substreams
 (bs-pick, column-sample, arrivals, content-mark, segment-mark,
@@ -30,6 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import count, islice
 from math import log
 from operator import or_
 
@@ -80,6 +84,11 @@ def _bits(mask: int, m: int) -> np.ndarray:
     """Boolean array of the low ``m`` bits of ``mask``, bit i at index i."""
     raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8)
     return np.unpackbits(raw, count=m, bitorder="little").view(bool)
+
+
+def _marks(gen: np.random.Generator, cum: np.ndarray) -> np.ndarray:
+    """A block of marks by inverse CDF over the running sums ``cum``."""
+    return np.minimum(np.searchsorted(cum, gen.random(_CHUNK) * cum[-1], "right"), len(cum) - 1)
 
 
 @dataclass
@@ -221,7 +230,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     horizon = config.horizon
     n_windows = config.n_windows
     wlen = horizon / n_windows
-    eta = config.eta
 
     # Arrival marks: running sums of popularity and segment area, as in
     # traffic.next_request.
@@ -239,11 +247,12 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     neighbours = core.neighbours
 
     # Real caches and the snapshot as per-station content bitmasks copied from
-    # FastCore's; real_key holds the real columns as sorted tuples.
+    # FastCore's; real_key holds the real columns as sorted tuples.  The
+    # start snapshot is the first block's first refresh.
     real_h = mask_hit_rate(top, cat)  # under-full columns included
     v_key = real_key = core.columns()
-    snap = core.masks[:]  # a copy: a step must not write the snapshot
-    real = snap[:]  # a copy: a store must not write the snapshot
+    refreshes = [(0, core.masks[:])]  # a copy: a step must not write it
+    real = core.masks[:]  # a copy: a store must not write the snapshot
     real_cols = list(real_key)
     cur_h = real_h(real)
     hit_memo: dict[StateKey, float] = {real_key: cur_h}
@@ -253,6 +262,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     # station rows at the same places.
     held = np.zeros((n_seg + n_bs, m), bool)
     held_at = held.ravel()  # a view: rewritten rows show through
+    no_segments = np.zeros(n_seg * m, bool)
 
     def hold(j: int) -> None:
         # Rewrite the rows that station j's real mask enters.
@@ -260,21 +270,15 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         for q, others in neighbours[j]:
             held[q] = _bits(reduce(or_, [real[b] for b in others], real[j]), m)
 
-    def snap_rows() -> np.ndarray:
-        return np.concatenate([np.zeros(n_seg * m, bool), *(_bits(x, m) for x in snap)])
-
     for j in range(n_bs):
         hold(j)
-    snap_held = snap_rows()
 
-    sched = config.make_schedule()
-    next_boundary_idx = 1
-    next_boundary = sched.boundary(1)
+    boundaries = map(config.make_schedule().boundary, count(1))
+    next_boundary = next(boundaries)
 
     real_occ: list[dict[StateKey, float]] = [{} for _ in range(n_windows)]
     v_counts: list[Counter] = [Counter() for _ in range(n_windows)]
-    hits = np.zeros(n_windows, np.int64)
-    misses = np.zeros(n_windows, np.int64)
+    hits, misses = np.zeros((2, n_windows), np.int64)
     h_int = [0.0] * n_windows
     events = [] if config.record_events else None
     slots = [] if config.record_slots else None
@@ -295,64 +299,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 t0 = seg_end
             w += 1
 
-    def resolve(a: int, b: int) -> None:
-        """Serve requests a..b-1 of the block against the current snapshot:
-        each pass looks the rest up at the current real state and ends
-        after its first store."""
-        nonlocal real_key, cur_h, last_change
-        while a < b:
-            # Gathers into the flag buffers: "clip" takes no temporary
-            # (every index is in range), so no array is sized by the span.
-            hit = np.take(held_at, hit_at[a:b], out=hit_flags[a:b], mode="clip")
-            # A miss stores iff the snapshot lists the content at its station.
-            store = np.take(snap_held, served_at[a:b], out=stores[a:b], mode="clip")
-            np.greater(store, hit, out=store)
-            s = int(store.argmax())
-            if not store[s]:
-                if events is not None:
-                    log_events(a, b, -1)
-                return
-            e = a + s + 1
-            if events is not None:
-                log_events(a, e, e - 1)
-            # Store the content; evict what the snapshot dropped.
-            j, i0, t = int(station[s + a]), int(content[s + a]), time_at[s + a]
-            add_real_time(last_change, t, real_key, cur_h)
-            last_change = t
-            new = real[j] = real[j] & snap[j] | 1 << i0
-            real_cols[j] = tuple(i + 1 for i in range(m) if new >> i & 1)
-            real_key = tuple(real_cols)
-            cur_h = hit_memo.get(real_key)
-            if cur_h is None:
-                cur_h = hit_memo[real_key] = real_h(real)
-            hold(j)
-            a = e
-
-    def log_events(a: int, e: int, stored: int) -> None:
-        # Requests a..e-1 met the current real state; request ``stored``
-        # (-1 for none) stored.
-        for r in range(a, e):
-            q, i0, j = int(segment[r]), int(content[r]), int(station[r]) + 1
-            covering = seg_bs[q]
-            if not hit_flags[r]:
-                action = "store" if r == stored else "miss"
-            else:
-                action = "hit"
-                if not explore[r]:
-                    holders = [b for b in covering if real[b - 1] >> i0 & 1]
-                    j = holders[int(pick[r] * len(holders))]
-            events.append((time_at[r], i0 + 1, seg_keys[q], j, action))
-
-    def marks(gen: np.random.Generator, cum: np.ndarray) -> np.ndarray:
-        # A block of marks by inverse CDF over the running sums ``cum``.
-        return np.minimum(np.searchsorted(cum, gen.random(_CHUNK) * cum[-1], "right"), len(cum) - 1)
-
-    def feed(a: int, b: int) -> None:
-        # record_arrival reads the server of explored requests only, which
-        # ``station`` holds.
-        for r in range(a, b):
-            record_arrival(segment_l[r], content_l[r], station_l[r], explore_l[r])
-
     spacing = config.slot_spacing
     slot_idx = 0  # number of updates performed; update k fires at (k+1)*spacing
     next_slot = spacing
@@ -360,12 +306,10 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     tau = 0.0  # the latest arrival time
     beta_at = config.gibbs.beta_at
     beta = beta_at(0, n_bs)
-    step = core.step
-    columns = core.columns
-    record_arrival = core.record_arrival
-    # resolve's flags, the only per-run arrays: it writes them span by span
-    # with np.take(out=), as arrays sized by a span would pile up in numpy's
-    # cache of freed buffers under 1 KiB over many runs.
+    step, columns, record_arrival = core.step, core.columns, core.record_arrival
+    # The serving pass's flags, the only per-run arrays: it writes them span
+    # by span with np.take(out=), as arrays sized by a span would pile up in
+    # numpy's cache of freed buffers under 1 KiB over many runs.
     hit_flags, stores = np.empty(_CHUNK, bool), np.empty(_CHUNK, bool)
 
     while True:
@@ -378,44 +322,44 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         times = np.cumsum(times)
         time_at = memoryview(times)  # reads Python floats, as bisect wants
         n = int(np.searchsorted(times, horizon))
-        content, segment = marks(content_gen, cum_lam), marks(segment_gen, cum_area)
+        content, segment = _marks(content_gen, cum_lam), _marks(segment_gen, cum_area)
         # Two server-pick draws per request, as traffic.assign_server takes
         # them: exploration, then the pick.  ``station`` is the covering
         # station at the pick (truncated, as int() does); it serves every
         # explored request and every miss.
         server_u = server_gen.random(2 * _CHUNK)
-        explore, pick = server_u[0::2] < eta, server_u[1::2]
+        explore, pick = server_u[0::2] < config.eta, server_u[1::2]
         station = cover[(pick * n_cover[segment]).astype(np.int64) + first[segment]]
         served_at = (station + n_seg) * m + content
         # Explored requests hit iff their station holds the content, the
         # others iff some covering station does.
         hit_at = np.where(explore, served_at, segment * m + content)
         if learning:
-            segment_l, content_l = segment[:n].tolist(), content[:n].tolist()
-            station_l, explore_l = station[:n].tolist(), explore[:n].tolist()
-        fed = done = 0  # requests of the block fed to the estimator, served
+            # record_arrival reads the server of explored requests only,
+            # which ``station`` holds.
+            arrivals = zip(segment[:n].tolist(), content[:n].tolist(),
+                           station[:n].tolist(), explore[:n].tolist())
+        fed = 0  # requests of the block fed to the estimator
         limit = time_at[n - 1] if n == _CHUNK else horizon
 
-        # Fire slot updates and snapshot refreshes up to the block's last
-        # arrival, snapshots first on ties (the reference is V at the
-        # boundary minus); an arrival at an update's time comes after it.
+        # Pass 1, the virtual chain: fire slot updates and snapshot
+        # boundaries up to the block's last arrival, snapshots first on ties
+        # (the reference is V at the boundary minus); an arrival at an
+        # update's time comes after it.  Each boundary records a refresh:
+        # the first request it applies to and the masks it copies.
         while True:
-            t_snap = next_boundary
             t_slot = next_slot
-            if t_snap <= limit and t_snap <= t_slot:
-                k = bisect.bisect_left(time_at, t_snap, done, n)
-                resolve(done, k)
-                done = k
-                snap = core.masks[:]
-                snap_held = snap_rows()
-                snapshots.append((t_snap, v_key))
-                next_boundary_idx += 1
-                next_boundary = sched.boundary(next_boundary_idx)
+            if next_boundary <= limit and next_boundary <= t_slot:
+                k = bisect.bisect_left(time_at, next_boundary, 0, n)
+                refreshes.append((k, core.masks[:]))
+                snapshots.append((next_boundary, v_key))
+                next_boundary = next(boundaries)
                 continue
             if t_slot <= limit:
                 if learning:
                     k = bisect.bisect_left(time_at, t_slot, fed, n)
-                    feed(fed, k)
+                    for arrival in islice(arrivals, k - fed):
+                        record_arrival(*arrival)
                     fed = k
                 beta = beta_at(slot_idx, n_bs)
                 j0 = bs_randrange(n_bs)
@@ -429,9 +373,51 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                 next_slot = (slot_idx + 1) * spacing
                 continue
             break
-        resolve(done, n)
         if learning:
-            feed(fed, n)
+            for arrival in arrivals:
+                record_arrival(*arrival)
+
+        # Pass 2, the real caches: serve the requests up to each refresh, and
+        # then up to the block's end, in passes that look the rest up at the
+        # current real state and end after their first store; at each
+        # refresh, adopt its masks as the snapshot.
+        a = 0
+        for b, masks in [*refreshes, (n, None)]:
+            while a < b:
+                # Gathers into the flag buffers: "clip" takes no temporary
+                # (every index is in range), so no array is sized by the span.
+                hit = np.take(held_at, hit_at[a:b], out=hit_flags[a:b], mode="clip")
+                # A miss stores iff the snapshot lists the content there.
+                store = np.take(snap_held, served_at[a:b], out=stores[a:b], mode="clip")
+                np.greater(store, hit, out=store)
+                s = a + int(store.argmax())  # the first store, if any
+                stored = stores[s]
+                e = s + 1 if stored else b
+                if events is not None:
+                    for r in range(a, e):
+                        q, i0, j = int(segment[r]), int(content[r]), int(station[r]) + 1
+                        action = "hit" if hit_flags[r] else "store" if stores[r] else "miss"
+                        if action == "hit" and not explore[r]:
+                            holders = [c for c in seg_bs[q] if real[c - 1] >> i0 & 1]
+                            j = holders[int(pick[r] * len(holders))]
+                        events.append((time_at[r], i0 + 1, seg_keys[q], j, action))
+                a = e
+                if stored:
+                    # Store the content; evict what the snapshot dropped.
+                    j, i0, t = int(station[s]), int(content[s]), time_at[s]
+                    add_real_time(last_change, t, real_key, cur_h)
+                    last_change = t
+                    new = real[j] = real[j] & snap[j] | 1 << i0
+                    real_cols[j] = tuple(i + 1 for i in range(m) if new >> i & 1)
+                    real_key = tuple(real_cols)
+                    cur_h = hit_memo.get(real_key)
+                    if cur_h is None:
+                        cur_h = hit_memo[real_key] = real_h(real)
+                    hold(j)
+            if masks is not None:
+                snap = masks
+                snap_held = np.concatenate([no_segments, *(_bits(x, m) for x in snap)])
+        refreshes = []
         window = np.minimum(times / wlen, n_windows - 1).astype(np.int64)
         # Count window w's misses at 2w and its hits at 2w + 1.
         counts = np.bincount((2 * window + hit_flags)[:n], minlength=2 * n_windows)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gibbscache.gibbs
+import gibbscache.sim
 from gibbscache.cli import main
 from gibbscache.gibbs import state_rates
 
@@ -239,6 +240,23 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["optimal", "--config", "no/such/file.json"]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config(self, kind, tmp_path, capsys):
+        path = tmp_path
+        if kind == "not-utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"catalog": "caf\xe9"}'.encode("latin-1"))
+        assert main(["optimal", "--config", str(path)]) == 2
+        assert f"config error: {path}: cannot be read" in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path)
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(gibbscache.sim, "run", lambda *a: pytest.fail("the run started"))
+        out = tmp_path / "file" / "out"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "config error: --out-dir: cannot be created" in capsys.readouterr().err
 
     def test_capacity_error_on_huge_count(self, tmp_path, capsys):
         # 4060**1300 states: the count has about 4,700 digits.

@@ -521,3 +521,33 @@ class TestRunStatistics:
         trace = gc.run(cfg, seed=25)
         for key in trace.real_occupancy():
             assert all(len(col) <= cfg.cache_size for col in key)
+
+
+class TestOneWayFlow:
+    """The real caches copy the virtual ones and never feed back: runs that
+    differ only in their snapshot epochs share every virtual quantity."""
+
+    @pytest.mark.parametrize("scope", [None, "shared", "local"])
+    def test_snapshot_epochs_leave_the_chain_unchanged(self, scope, line2_config):
+        learn = {} if scope is None else {
+            "learning": True, "estimator": EstimatorConfig(scope=scope)
+        }
+        few, many = (
+            gc.run(_cfg(line2_config, horizon=3000.0, eta=0.05, schedule_t1=t1,
+                        record_slots=True, **learn), seed=5)
+            for t1 in (10.0, 0.3)
+        )
+        assert (len(few.snapshots), len(many.snapshots)) == (24, 140)
+        assert few.slots == many.slots
+        assert few.v_counts == many.v_counts
+        assert few.beta_final == many.beta_final
+        assert few.estimator == many.estimator
+        assert len(few.estimator) == (0 if scope is None else 6)
+        assert few.real_occ != many.real_occ
+        if scope is None:
+            n = few.n_slots
+            samples, _, _ = sim.run_chain(
+                line2_config.topology, line2_config.catalog, line2_config.cache_size,
+                line2_config.gibbs, n, seed=5, record_at=set(range(1, n + 1)),
+            )
+            assert [s[3] for s in few.slots] == [samples[k] for k in range(1, n + 1)]
