@@ -29,6 +29,10 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
+        # mkstemp opens the file as 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

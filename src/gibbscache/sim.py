@@ -17,7 +17,9 @@ not depend on the caches (see ``traffic.assign_server``), so at a fixed real
 state it hits iff a covering station holds the content, or, if it explores,
 iff the covering station its draw picks does; that station serves a miss,
 which stores iff the snapshot lists the content there.  Requests are looked
-up in arrays up to the next store, and each store is applied on its own.
+up in arrays up to the next store, and each store is applied on its own,
+rewriting only the storing station's changed bits and its segments' terms of
+the hit rate.  Blocks are sized to the arrivals left; marks use guide tables.
 
 All randomness flows from one seed expanded into named substreams
 (bs-pick, column-sample, arrivals, content-mark, segment-mark,
@@ -34,20 +36,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import count, islice
-from math import log
-from operator import or_
+from math import ceil, log, sqrt
+from operator import add, or_
+from typing import Callable
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .engine import FastCore
 from .gibbs import GibbsParams, StateKey
-from .model import ContentCatalog, mask_hit_rate
+from .model import ContentCatalog, UnionRates
 from .geometry import CellTopology
 
-# Requests drawn and served per block.  Any size gives the same trace; every
-# block array has this many entries.
-_CHUNK = 1 << 10
+# Requests drawn and served per block at most.  Any sizes give the same trace:
+# each stream is read in order, and draws past the horizon are never used.
+# ``run`` sizes a block to the arrivals expected before the horizon plus four
+# standard deviations, but to 2**10 at least, so every block array has 1 KiB
+# or more: smaller freed arrays stay in numpy's cache and pile up over runs.
+_CHUNK = 1 << 12
+_GUIDE = 1 << 12  # buckets of a guide table of marks
 
 STREAM_NAMES = (
     "bs-pick",
@@ -73,10 +80,7 @@ def _generator(rng: random.Random) -> np.random.Generator:
     so its ``random`` yields the doubles that ``rng.random`` would."""
     _, state, _ = rng.getstate()
     bits = np.random.MT19937()
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(state[:-1], np.uint32), "pos": state[-1]},
-    }
+    bits.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     return np.random.Generator(bits)
 
 
@@ -86,9 +90,28 @@ def _bits(mask: int, m: int) -> np.ndarray:
     return np.unpackbits(raw, count=m, bitorder="little").view(bool)
 
 
-def _marks(gen: np.random.Generator, cum: np.ndarray) -> np.ndarray:
-    """A block of marks by inverse CDF over the running sums ``cum``."""
-    return np.minimum(np.searchsorted(cum, gen.random(_CHUNK) * cum[-1], "right"), len(cum) - 1)
+def _marks(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Inverse CDF over the running sums ``cum`` by a guide table (Chen and
+    Asau, 1974): ``marks(u)`` equals ``np.minimum(np.searchsorted(cum,
+    u * cum[-1], "right"), len(cum) - 1)`` for uniforms ``u`` in [0, 1), that
+    is ``searchsorted`` over ``stops``, the running sums with the last made
+    infinite.  As ``u * cum[-1]`` rounds monotonically, the marks at the edges
+    of bucket b, u in [b, b + 1) / _GUIDE, bound its marks: each starts at the
+    lower one and steps up while its key is at or above the stop there.
+    """
+    total = cum[-1]
+    stops = np.append(cum[:-1], np.inf)
+    bounds = np.searchsorted(stops, np.arange(_GUIDE + 1) / _GUIDE * total, "right")
+    lo, steps = bounds[:-1], range(int(np.diff(bounds).max()))
+
+    def marks(u: np.ndarray) -> np.ndarray:
+        x = u * total
+        r = lo[(u * _GUIDE).astype(np.intp)]
+        for _ in steps:
+            r += x >= stops[r]
+        return r
+
+    return marks
 
 
 @dataclass
@@ -236,6 +259,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     cum_lam = np.cumsum(cat.intensities)
     cum_area = np.cumsum(core.seg_areas)
     total_rate = cum_lam[-1] * cum_area[-1]
+    lam_marks, area_marks = _marks(cum_lam), _marks(cum_area)
     seg_bs = core.seg_bs  # 1-based station lists per segment
     n_seg = len(seg_bs)
     seg_keys = [tuple(bs) for bs in seg_bs]
@@ -246,32 +270,42 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     cover = np.array([b - 1 for bs in seg_bs for b in bs])
     neighbours = core.neighbours
 
-    # Real caches and the snapshot as per-station content bitmasks copied from
-    # FastCore's; real_key holds the real columns as sorted tuples.  The
-    # start snapshot is the first block's first refresh.
-    real_h = mask_hit_rate(top, cat)  # under-full columns included
-    v_key = real_key = core.columns()
-    refreshes = [(0, core.masks[:])]  # a copy: a step must not write it
-    real = core.masks[:]  # a copy: a store must not write the snapshot
-    real_cols = list(real_key)
-    cur_h = real_h(real)
-    hit_memo: dict[StateKey, float] = {real_key: cur_h}
+    # Real caches and the snapshot as per-station content bitmasks; real_key
+    # holds the real columns as sorted tuples, and terms[q] is segment q's
+    # term area * rate(union of its stations' masks) of the real hit rate.
     # The masks as boolean rows, read by flat index (q * m + i): row q of
-    # ``held`` says which contents some station of segment q holds, row
+    # ``held_at`` says which contents some station of segment q holds, row
     # n_seg + j which station j holds; ``snap_held`` has the snapshot's
     # station rows at the same places.
-    held = np.zeros((n_seg + n_bs, m), bool)
-    held_at = held.ravel()  # a view: rewritten rows show through
+    rates = UnionRates(cat)
+    real, terms = [0] * n_bs, [0.0] * n_seg
+    held_at = np.zeros((n_seg + n_bs) * m, bool)
     no_segments = np.zeros(n_seg * m, bool)
 
-    def hold(j: int) -> None:
-        # Rewrite the rows that station j's real mask enters.
-        held[n_seg + j] = _bits(real[j], m)
-        for q, others in neighbours[j]:
-            held[q] = _bits(reduce(or_, [real[b] for b in others], real[j]), m)
+    def hold(j: int, new: int) -> None:
+        # Set station j's real mask to ``new``: write the bits that change in
+        # its own row (no other station's mask enters it) and its segments'
+        # rows, and refresh those segments' terms.
+        changed = [i for i in range(m) if (real[j] ^ new) >> i & 1]
+        real[j] = new
+        for q, others in [(n_seg + j, ()), *neighbours[j]]:
+            union = reduce(or_, [real[b] for b in others], new)
+            for i in changed:
+                held_at[q * m + i] = union >> i & 1
+            if q < n_seg:
+                terms[q] = core.seg_areas[q] * rates[union]
 
-    for j in range(n_bs):
-        hold(j)
+    # The real caches start as FastCore's, set on empty caches; the start
+    # snapshot is the first block's first refresh.
+    for j, mask in enumerate(core.masks):
+        hold(j, mask)
+    v_key = real_key = core.columns()
+    refreshes = [(0, core.masks[:])]  # a copy: a step must not write it
+    real_cols = list(real_key)
+    # The terms added left to right in segment order, as mask_hit_rate adds
+    # them (sum() compensates from Python 3.12 on).
+    cur_h = reduce(add, terms, 0.0)
+    hit_memo: dict[StateKey, float] = {real_key: cur_h}
 
     boundaries = map(config.make_schedule().boundary, count(1))
     next_boundary = next(boundaries)
@@ -313,21 +347,24 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     hit_flags, stores = np.empty(_CHUNK, bool), np.empty(_CHUNK, bool)
 
     while True:
-        # The next block of arrivals before the horizon.  Exponential
+        # The next block of arrivals before the horizon, c of them with c
+        # sized to the mean number left, mu, as _CHUNK says.  Exponential
         # inter-arrivals as random.expovariate draws them, summed in order:
         # np.log can differ from math.log in the last bit.
-        u = 1.0 - arr_gen.random(_CHUNK)
-        times = np.fromiter(map(log, memoryview(u)), float, _CHUNK) / -total_rate
+        mu = (horizon - tau) * total_rate
+        c = min(_CHUNK, max(1 << 10, ceil(mu + 4 * sqrt(mu))))
+        u = 1.0 - arr_gen.random(c)
+        times = np.fromiter(map(log, memoryview(u)), float, c) / -total_rate
         times[0] += tau
         times = np.cumsum(times)
         time_at = memoryview(times)  # reads Python floats, as bisect wants
         n = int(np.searchsorted(times, horizon))
-        content, segment = _marks(content_gen, cum_lam), _marks(segment_gen, cum_area)
+        content, segment = lam_marks(content_gen.random(c)), area_marks(segment_gen.random(c))
         # Two server-pick draws per request, as traffic.assign_server takes
         # them: exploration, then the pick.  ``station`` is the covering
         # station at the pick (truncated, as int() does); it serves every
         # explored request and every miss.
-        server_u = server_gen.random(2 * _CHUNK)
+        server_u = server_gen.random(2 * c)
         explore, pick = server_u[0::2] < config.eta, server_u[1::2]
         station = cover[(pick * n_cover[segment]).astype(np.int64) + first[segment]]
         served_at = (station + n_seg) * m + content
@@ -340,7 +377,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             arrivals = zip(segment[:n].tolist(), content[:n].tolist(),
                            station[:n].tolist(), explore[:n].tolist())
         fed = 0  # requests of the block fed to the estimator
-        limit = time_at[n - 1] if n == _CHUNK else horizon
+        limit = time_at[n - 1] if n == c else horizon
 
         # Pass 1, the virtual chain: fire slot updates and snapshot
         # boundaries up to the block's last arrival, snapshots first on ties
@@ -407,23 +444,23 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                     j, i0, t = int(station[s]), int(content[s]), time_at[s]
                     add_real_time(last_change, t, real_key, cur_h)
                     last_change = t
-                    new = real[j] = real[j] & snap[j] | 1 << i0
+                    new = real[j] & snap[j] | 1 << i0
+                    hold(j, new)
                     real_cols[j] = tuple(i + 1 for i in range(m) if new >> i & 1)
                     real_key = tuple(real_cols)
                     cur_h = hit_memo.get(real_key)
                     if cur_h is None:
-                        cur_h = hit_memo[real_key] = real_h(real)
-                    hold(j)
+                        cur_h = hit_memo[real_key] = reduce(add, terms, 0.0)
             if masks is not None:
                 snap = masks
                 snap_held = np.concatenate([no_segments, *(_bits(x, m) for x in snap)])
         refreshes = []
         window = np.minimum(times / wlen, n_windows - 1).astype(np.int64)
         # Count window w's misses at 2w and its hits at 2w + 1.
-        counts = np.bincount((2 * window + hit_flags)[:n], minlength=2 * n_windows)
+        counts = np.bincount((2 * window + hit_flags[:c])[:n], minlength=2 * n_windows)
         misses += counts[0::2]
         hits += counts[1::2]
-        if n < _CHUNK:
+        if n < c:
             break
         tau = limit
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -47,6 +49,14 @@ class TestOptimal:
         assert main(["optimal", "--config", REF_CONFIG, "--out-dir", str(out)]) == 0
         data = json.loads((out / "optimal.json").read_text())
         assert data["h_max"] == pytest.approx(0.765)
+
+    def test_out_file_mode_follows_umask(self, tmp_path, capsys):
+        umask = os.umask(0o022)
+        try:
+            assert main(["optimal", "--config", REF_CONFIG, "--out-dir", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "optimal.json").stat().st_mode) == 0o644
 
 
 class TestSimulate:

@@ -6,10 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gibbscache as gc
 from gibbscache.config import EstimatorConfig
 from gibbscache.gibbs import GibbsParams
+from gibbscache.model import mask_hit_rate
 from gibbscache.realcache import most_popular_columns
 from gibbscache import sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
@@ -54,6 +56,61 @@ class TestSubstreams:
         gen = sim._generator(rng)
         drawn = np.concatenate([gen.random(1), gen.random(623), gen.random(99_376)])
         assert drawn.tolist() == [rng.random() for _ in range(100_000)]
+
+
+def _uniforms_near(cum):
+    """Uniforms whose keys ``u * cum[-1]`` straddle each running sum and its
+    neighbours one ulp away, plus the largest below 1, whose keys round up
+    to the total only when it is subnormal."""
+    total = cum[-1]
+    us = {1.0 - k * 2.0**-53 for k in range(1, 9)} | {0.0}
+    for c in cum:
+        for y in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)):
+            u = y / total
+            for _ in range(4):  # from four ulps below y / total to four above
+                u = np.nextafter(u, 0.0)
+            for _ in range(9):
+                if u < 1.0:
+                    us.add(float(u))
+                u = np.nextafter(u, 1.0)
+    return np.array(sorted(us))
+
+
+def _check_marks(weights):
+    cum = np.cumsum(weights)
+    u = _uniforms_near(cum)
+    expect = np.minimum(np.searchsorted(cum, u * cum[-1], "right"), len(cum) - 1)
+    assert sim._marks(cum)(u).tolist() == expect.tolist()
+    return u * cum[-1], cum
+
+
+class TestMarks:
+    """The guide table is the clipped right-searchsorted inverse CDF."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [2.5],
+            [10 / i for i in range(1, 9)],  # hex7's catalog
+            [1.0, 1e-9, 3.0, 1e-9, 1e-9] * 5,
+            [0.1 / i for i in range(1, 60)],
+            [1 / i for i in range(1, 1001)],  # Zipf, M = 1000
+            [5e-324] * 3,  # subnormal: u * total rounds up to the total
+        ],
+        ids=["1", "8", "25", "59", "zipf1000", "subnormal"],
+    )
+    def test_table_sizes(self, weights):
+        keys, cum = _check_marks(weights)
+        # The keys closest to each running sum on either side are checked.
+        for c in cum[:-1]:
+            ulp = np.spacing(c)
+            assert c - keys[keys <= c].max() <= 2 * ulp
+            assert keys[keys > c].min() - c <= 2 * ulp
+
+    @given(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_random_weights(self, weights):
+        _check_marks(weights)
 
 
 class TestDistributionHelpers:
@@ -277,6 +334,11 @@ class TestReplay:
             (hits if action == "hit" else misses)[w] += 1
         assert (hits, misses) == (trace.hits, trace.misses)
         assert final_real.columns() == trace.final_real
+        # Stores refresh only the storing station's segment terms; the hit
+        # rates must still be mask_hit_rate's, bit for bit.
+        h = mask_hit_rate(cfg.topology, cfg.catalog)
+        for key, value in trace.hit_rates.items():
+            assert value == h([sum(1 << i - 1 for i in col) for col in key])
 
 
 class TestRunInvariance:
@@ -295,11 +357,13 @@ class TestRunInvariance:
             assert (trace.events is None, trace.slots is None) == (not events, not slots)
             assert dataclasses.replace(trace, events=None, slots=None) == bare
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 11, 1 << 16])
     @pytest.mark.parametrize("name", ["hex7", "line3-stores", "line2-explore-learn"])
     def test_block_size_leaves_trace_unchanged(self, name, chunk, line2_config, monkeypatch):
         # Block edges fall between arrivals, slots, snapshots and stores in
-        # every combination at these sizes.
+        # every combination at sizes 1 and 7.  At 2**11 the arrivals left
+        # after the first block get a block of the 2**10 floor; at 2**16 one
+        # block sized to the horizon holds them all.
         cfg = _replay_config(name, line2_config)
         expect = gc.run(cfg, seed=3)
         monkeypatch.setattr(sim, "_CHUNK", chunk)
