@@ -34,11 +34,8 @@ class ExperimentConfig:
     catalog: ContentCatalog
     cache_size: int
     gibbs: GibbsParams
-    learning: bool
-    estimator: EstimatorConfig
-    schedule_kind: str
-    schedule_t1: float
-    schedule_ratio: float
+    estimator: EstimatorConfig | None  # None: exact rates
+    schedule: SnapshotSchedule
     eta: float
     horizon: float
     slot_spacing: float
@@ -46,9 +43,6 @@ class ExperimentConfig:
     seed: int
     record_events: bool
     record_slots: bool
-
-    def make_schedule(self) -> SnapshotSchedule:
-        return SnapshotSchedule(self.schedule_kind, self.schedule_t1, self.schedule_ratio)
 
 
 def _field(sec: dict, path: str, name: str, default: Any, ok: Callable[[Any], bool], want: str):
@@ -201,8 +195,10 @@ def build_config(data: dict) -> ExperimentConfig:
         if uncovered:
             raise ConfigError(
                 "traffic.eta",
-                f"stations {uncovered} have no exclusive coverage region, so they would "
-                "never see requests with eta=0",
+                f"stations {uncovered} have no exclusive coverage region: with eta=0 a miss "
+                "reaches one only when no other covering station holds the content, so once "
+                "the stations together hold every content, no miss reaches them and their "
+                "real caches stop following the snapshot",
                 "set traffic.eta to a small positive value, e.g. 0.01",
             )
 
@@ -234,11 +230,8 @@ def build_config(data: dict) -> ExperimentConfig:
         catalog=cat,
         cache_size=cache_size,
         gibbs=gparams,
-        learning=learning,
-        estimator=est,
-        schedule_kind=kind,
-        schedule_t1=t1,
-        schedule_ratio=ratio,
+        estimator=est if learning else None,
+        schedule=SnapshotSchedule(kind, t1, ratio),
         eta=eta,
         horizon=float(_field(sec, "sim", "horizon", 10_000.0, *POSITIVE)),
         slot_spacing=float(_field(sec, "sim", "slot_spacing", 1.0, *POSITIVE)),

@@ -120,8 +120,7 @@ class FastCore:
             ok = all(isinstance(i, int) and 1 <= i <= self.m for i in key)
             if not ok or len(key) != self.k or len(set(key)) != self.k:
                 raise ValueError(f"column {key} is not a K-subset of the catalog")
-        self.col = cols
-        self._key = tuple(cols)  # what columns() returns until a column changes
+        self._key = tuple(cols)  # rebuilt when a column changes
         self.masks = [sum(1 << (i - 1) for i in key) for key in cols]  # bit i - 1: content i
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -189,10 +188,10 @@ class FastCore:
         if not 0 <= beta < math.inf:  # checked inline: a step runs every slot
             check_beta(beta)
         new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
-        if new != self.col[j0]:
+        key = self._key
+        if new != key[j0]:
             # Placement keys that callers keep share one tuple per column.
             new = self._interned.setdefault(new, new)
             self.masks[j0] = sum(1 << (i - 1) for i in new)
-            self.col[j0] = new
-            self._key = tuple(self.col)
-        return self.col[j0]
+            self._key = (*key[:j0], new, *key[j0 + 1:])
+        return self._key[j0]

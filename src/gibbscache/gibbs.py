@@ -201,12 +201,17 @@ def state_masks(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Candidate columns and their content bitmasks (bit ``i - 1`` set iff
     content ``i`` is stored), after gating the number of configurations."""
-    cands = candidate_columns(m_contents, cache_size)
-    if len(cands) ** n_bs > STATE_ENUM_LIMIT:
-        raise CapacityError(
-            f"{len(cands)}**{n_bs} configurations exceed enumeration limit {STATE_ENUM_LIMIT}"
-        )
+    c, states = math.comb(m_contents, cache_size), 1
+    for _ in range(n_bs):  # multiplied out only up to the limit
+        states *= c
+        if states > STATE_ENUM_LIMIT:
+            # Python prints no int of over 4,300 digits: give such a C(M,K) as a power of ten.
+            count = f"{c}**{n_bs}" if math.log10(c) < 4300 else (
+                f"C({m_contents},{cache_size})**{n_bs} ~ 10^{n_bs * math.log10(c):.1f}")
+            raise CapacityError(
+                f"{count} configurations exceed enumeration limit {STATE_ENUM_LIMIT}")
     bits = [1 << i for i in range(m_contents)]
+    cands = list(itertools.combinations(range(1, m_contents + 1), cache_size))
     return cands, list(map(sum, itertools.combinations(bits, cache_size)))
 
 

@@ -154,8 +154,8 @@ class UnionRates(dict):
     bit ``i - 1`` set iff content ``i`` is in the union.
 
     The one rule for the rate of a union of caches, read by
-    :func:`mask_hit_rate` and ``gibbs.state_rates``.  It sums the
-    intensities in content order, the sum of :func:`hit_rate`.
+    :func:`mask_hit_rate`, ``gibbs.state_rates`` and ``sim.run``.  It sums
+    the intensities in content order, the sum of :func:`hit_rate`.
     """
 
     def __init__(self, cat: ContentCatalog):

@@ -10,13 +10,15 @@ re-synchronizing vanishes as epochs lengthen.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate, count, islice
+from typing import Iterator
 
 from .model import Placement
 from .traffic import RequestEvent
 
 
+@dataclass(frozen=True)
 class SnapshotSchedule:
     """Epoch durations T_k and their prefix sums S_l.
 
@@ -24,17 +26,17 @@ class SnapshotSchedule:
     T_k = t1 * ratio**(k-1); both satisfy T_k -> infinity.
     """
 
-    def __init__(self, kind: str = "linear", t1: float = 10.0, ratio: float = 2.0):
-        if kind not in ("linear", "geometric"):
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        if t1 <= 0:
+    kind: str = "linear"
+    t1: float = 10.0
+    ratio: float = 2.0
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "geometric"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.t1 <= 0:
             raise ValueError("t1 must be positive")
-        if kind == "geometric" and ratio <= 1:
+        if self.kind == "geometric" and self.ratio <= 1:
             raise ValueError("geometric growth needs ratio > 1")
-        self.kind = kind
-        self.t1 = t1
-        self.ratio = ratio
-        self._prefix: list[float] = [0.0]  # S_0 = 0
 
     def duration(self, k: int) -> float:
         """T_k for k >= 1."""
@@ -44,21 +46,22 @@ class SnapshotSchedule:
             return self.t1 * k
         return self.t1 * self.ratio ** (k - 1)
 
+    def boundaries(self) -> Iterator[float]:
+        """S_0 = 0, S_1, S_2, ...: the durations summed in order."""
+        return accumulate(map(self.duration, count(1)), initial=0.0)
+
     def boundary(self, l: int) -> float:
         """S_l = T_1 + ... + T_l (S_0 = 0)."""
-        while len(self._prefix) <= l:
-            k = len(self._prefix)
-            self._prefix.append(self._prefix[-1] + self.duration(k))
-        return self._prefix[l]
+        return next(islice(self.boundaries(), l, None))
 
     def kappa_zeta(self, tau: float) -> tuple[int, float]:
         """Largest l with S_l <= tau, and that boundary (0 if none)."""
         if tau < 0:
             raise ValueError("tau must be >= 0")
-        while self._prefix[-1] <= tau:
-            self.boundary(len(self._prefix))
-        l = bisect_right(self._prefix, tau) - 1
-        return l, self._prefix[l]
+        for l, s in enumerate(self.boundaries()):
+            if s > tau:
+                return l - 1, zeta
+            zeta = s
 
 
 @dataclass(frozen=True)

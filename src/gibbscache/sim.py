@@ -35,7 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import count, islice
+from itertools import islice
 from math import ceil, log, sqrt
 from operator import add, or_
 from typing import Callable
@@ -77,9 +77,10 @@ def substreams(seed: int) -> dict[str, random.Random]:
 
 def _generator(rng: random.Random) -> np.random.Generator:
     """A numpy generator that continues ``rng``'s stream: both are MT19937,
-    so its ``random`` yields the doubles that ``rng.random`` would."""
+    so its ``random`` yields the doubles that ``rng.random`` would.  The state
+    set decides every draw, so a fixed seed spares seeding from OS entropy."""
     _, state, _ = rng.getstate()
-    bits = np.random.MT19937()
+    bits = np.random.MT19937(0)
     bits.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     return np.random.Generator(bits)
 
@@ -244,10 +245,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         _generator(rngs[name]) for name in STREAM_NAMES[2:]
     )
 
-    learning = config.learning
-    core = FastCore(
-        top, cat, config.cache_size, config.estimator if learning else None, config.eta
-    )
+    learning = config.estimator is not None
+    core = FastCore(top, cat, config.cache_size, config.estimator, config.eta)
     n_bs = top.n_bs
     m = cat.m_contents
     horizon = config.horizon
@@ -307,7 +306,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     cur_h = reduce(add, terms, 0.0)
     hit_memo: dict[StateKey, float] = {real_key: cur_h}
 
-    boundaries = map(config.make_schedule().boundary, count(1))
+    boundaries = islice(config.schedule.boundaries(), 1, None)  # S_1, S_2, ...
     next_boundary = next(boundaries)
 
     real_occ: list[dict[StateKey, float]] = [{} for _ in range(n_windows)]

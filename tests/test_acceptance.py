@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gibbscache as gc
+from gibbscache.config import EstimatorConfig
 from gibbscache.gibbs import GibbsParams, transition_matrix
 from gibbscache.realcache import most_popular_columns
 import conftest
@@ -135,7 +136,7 @@ def _annealed_config(line2_config, learning: bool):
     return dataclasses.replace(
         line2_config,
         gibbs=GibbsParams(mode="annealed", beta0=BETA0),
-        learning=learning,
+        estimator=EstimatorConfig() if learning else None,
         horizon=ANNEAL_HORIZON,
     )
 

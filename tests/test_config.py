@@ -27,12 +27,12 @@ class TestBuildConfig:
         assert cfg.gibbs.mode == "fixed"
         assert cfg.eta == 0.0
         assert cfg.n_windows == 12
-        assert not cfg.learning
+        assert cfg.estimator is None
 
     def test_shipped_reference_config(self, line2_config):
         assert line2_config.gibbs.beta == 2.0
         assert line2_config.horizon == 200000
-        assert line2_config.schedule_t1 == 10.0
+        assert line2_config.schedule.t1 == 10.0
         assert line2_config.seed == 42
 
     def test_segments_topology(self):

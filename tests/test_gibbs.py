@@ -64,6 +64,11 @@ class TestGatesOnHugeCounts:
         with pytest.raises(CapacityError, match=r"4060\*\*1300 configurations"):
             state_masks(30, 1300, 3)
 
+    def test_state_masks_on_huge_columns(self):
+        # C(20000,10000)**2 has about 12,000 digits.
+        with pytest.raises(CapacityError, match=r"C\(20000,10000\)\*\*2 ~ 10\^12036\.7 conf"):
+            state_masks(20000, 2, 10000)
+
 
 class TestConditionalDistribution:
     def test_two_point_logistic(self, line2_topology, line2_catalog):

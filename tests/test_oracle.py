@@ -63,6 +63,16 @@ class TestEnumerateOptimal:
             floor = report.h_max - TIE_RTOL * abs(report.h_max)
             assert report.argmax == tuple(s for s, h in rates.items() if h >= floor)
 
+    def test_one_station_past_the_column_gate(self):
+        # C(20,8) = 125,970 columns exceed conditional_distribution's gate,
+        # but one station has only that many states, within the state limit.
+        top = gc.from_intervals([(0.0, 2.0)])
+        cat = gc.ContentCatalog(tuple(1 / i for i in range(1, 21)))
+        report = gc.enumerate_optimal(top, cat, 8)
+        best = gc.most_popular_placement(cat, 1, 8)
+        assert report.argmax == (best.columns(),)
+        assert report.h_max == gc.hit_rate(top, cat, best)
+
     def test_capacity_gate(self):
         top = gc.from_segments(8, {tuple(range(1, 9)): 1.0})
         cat = gc.ContentCatalog(tuple([0.1] * 12))

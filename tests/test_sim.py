@@ -237,7 +237,7 @@ def _replay(cfg, trace):
         m, [most_popular_columns(cat.intensities, k)] * top.n_bs, k
     )
     real = gc.RealState(placement=start, snapshot=start)
-    sched = cfg.make_schedule()
+    sched = cfg.schedule
     snap_times = [t for t, _ in trace.snapshots]
     events, met = [], []
     req = gc.next_request(marks, top, cat, 0.0)
@@ -302,7 +302,7 @@ def _replay_config(name, line2_config):
                 },
             }
         )
-    over = {"eta": 0.05, "learning": True} if name == "line2-explore-learn" else {}
+    over = {"eta": 0.05, "estimator": EstimatorConfig()} if name == "line2-explore-learn" else {}
     return _cfg(line2_config, horizon=3000.0, record_events=True, record_slots=True, **over)
 
 
@@ -470,7 +470,7 @@ class TestRunAccounting:
         assert direct == pytest.approx(rebuilt, rel=1e-9)
 
     def test_snapshot_times_are_boundaries(self, short_trace, line2_config):
-        sched = line2_config.make_schedule()
+        sched = line2_config.schedule
         expect = []
         l = 1
         while sched.boundary(l) <= short_trace.horizon:
@@ -558,7 +558,7 @@ class TestRunStatistics:
     def test_learning_run_estimates(self, line2_config):
         gp = GibbsParams(mode="fixed", beta=2.0)
         cfg = dataclasses.replace(
-            line2_config, gibbs=gp, learning=True, horizon=50_000.0
+            line2_config, gibbs=gp, estimator=EstimatorConfig(), horizon=50_000.0
         )
         trace = gc.run(cfg, seed=24)
         assert len(trace.estimator) == 6  # 3 segments x 2 contents
@@ -571,7 +571,7 @@ class TestRunStatistics:
         # Under local scope each segment is reported from the table of its
         # lowest-numbered covering station, one that can serve it.
         cfg = dataclasses.replace(
-            line2_config, learning=True, estimator=EstimatorConfig(scope="local"),
+            line2_config, estimator=EstimatorConfig(scope="local"),
             eta=0.1, horizon=20_000.0,
         )
         trace = gc.run(cfg, seed=1)
@@ -593,11 +593,9 @@ class TestOneWayFlow:
 
     @pytest.mark.parametrize("scope", [None, "shared", "local"])
     def test_snapshot_epochs_leave_the_chain_unchanged(self, scope, line2_config):
-        learn = {} if scope is None else {
-            "learning": True, "estimator": EstimatorConfig(scope=scope)
-        }
+        learn = {} if scope is None else {"estimator": EstimatorConfig(scope=scope)}
         few, many = (
-            gc.run(_cfg(line2_config, horizon=3000.0, eta=0.05, schedule_t1=t1,
+            gc.run(_cfg(line2_config, horizon=3000.0, eta=0.05, schedule=gc.SnapshotSchedule(t1=t1),
                         record_slots=True, **learn), seed=5)
             for t1 in (10.0, 0.3)
         )
