@@ -4,16 +4,25 @@ simulation.
 Keeps one content bitmask per station as its only derived state.  The local
 energy is additive over a column's contents, so the Gibbs conditional over
 K-subsets is a product-weight design (conditional Poisson sampling), sampled
-exactly without enumerating candidates: one update costs O(|segments
-containing j| * M + M * K) for any catalog size.  The public, readable
-formulas live in ``model`` and ``gibbs``; tests assert this core agrees with
-them exactly.
+exactly without enumerating candidates.  One update of station j computes
+the gains, O(|segments containing j| * M), a suffix table of M * K cells,
+and walks it in O(M), for any catalog size.  Two evaluations give the same
+bits.  Up to ``ARRAY_STEP_MK`` (M * K) they are Python float operations, one
+per gain term and per cell; above it they are numpy calls, a few per update
+for the gains and K for the table, doing the same float operations in the
+same order.  Per update on 30 stations in a line at beta = 5: 17.5 µs in
+Python at M = 16, K = 3; 26.5 µs with arrays against 28.4 in Python at
+M = 30, K = 3; 1.2 ms against 3.3 ms at M = 1000, K = 10.  The public,
+readable formulas live in ``model`` and ``gibbs``; tests assert this core
+agrees with them exactly.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .config import EstimatorConfig
 from .geometry import CellTopology
@@ -22,37 +31,94 @@ from .model import ContentCatalog
 from .realcache import most_popular_columns
 
 
-def _lex_sample(a: list[float], k: int, u: float) -> tuple[int, ...]:
-    """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
-    by inverse CDF at ``u`` in lexicographic order.
+# Above this M·K, ``FastCore.step`` evaluates the gains and the suffix table
+# with numpy.  Measured per step on 30 stations in a line (each in 2 or 3
+# segments), β = 5: the Python path is faster up to M·K = 48 (17.5 against
+# 22.3 µs at M = 16, K = 3), the two are even at 60, and the arrays are
+# faster from 80 on (26.5 against 28.4 µs at M = 30, K = 3; 62 against 102
+# µs at M = 100, K = 5).
+ARRAY_STEP_MK = 60
 
-    ``E(s, r) = log e_r(exp(a[s]), ..., exp(a[m-1]))``, kept in log space so
-    that it stays finite at any beta.  With r contents left to choose, the
-    subsets that take s come first, with conditional mass ``p = exp(a[s] +
-    E(s+1, r-1) - E(s, r))``; the uniform is rescaled into the chosen block.
+
+def _bits(masks: Sequence[int], m: int) -> np.ndarray:
+    """Boolean array of the low ``m`` bits of each mask: one row per mask,
+    bit i in column i."""
+    width = (m + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in masks), np.uint8)
+    return np.unpackbits(
+        raw.reshape(len(masks), width), axis=1, count=m, bitorder="little"
+    ).view(bool)
+
+
+def _suffix_table(a: list[float], k: int) -> list[list[float]]:
+    """Levels ``E[r]``, r <= k, of ``E(s, r) = log e_r(exp(a[s]), ...,
+    exp(a[m-1]))``, the log of the elementary symmetric polynomial of degree
+    r, kept in log space so that it stays finite at any beta.  Level r lists
+    E(s, r) from s = m - r down to 0: ``E[r][m-r-s]``.
+
+    ``E(s, 0) = 0``, ``E(m-r, r) = a[m-r] + E(m-r+1, r-1)`` and, below,
+    ``E(s, r) = logaddexp(E(s+1, r), a[s] + E(s+1, r-1))``.
     """
     exp, log1p = math.exp, math.log1p
     m = len(a)
-    L = [[0.0]]  # rows from s = m down: L[m - s][r] = E(s, r)
-    width = 1  # cells in the last row
-    for a_s in reversed(a):
-        nxt = L[-1]
-        row = [0.0]
-        prev = 0.0  # E(s + 1, r - 1), starting from E(s + 1, 0) = 0
-        for x in nxt[1:]:
-            y = a_s + prev
-            row.append(x + log1p(exp(y - x)) if x > y else y + log1p(exp(x - y)))
-            prev = x
-        if width <= k:  # E(s, r) for r = m - s is new in this row
-            row.append(a_s + prev)
-            width += 1
-        L.append(row)
+    prev = [0.0] * (m + 1)
+    table = [prev]
+    for r in range(1, k + 1):
+        x = a[m - r] + prev[0]
+        row = [x]
+        for s in range(m - r - 1, -1, -1):
+            y = a[s] + prev[m - r - s]
+            x = x + log1p(exp(y - x)) if x > y else y + log1p(exp(x - y))
+            row.append(x)
+        table.append(row)
+        prev = row
+    return table
+
+
+def _array_table(a: np.ndarray, k: int) -> list[list[float]]:
+    """:func:`_suffix_table` of ``a`` in K numpy calls, bit for bit.
+
+    Level r is the running ``np.logaddexp`` of the terms ``a[s] + E(s+1,
+    r-1)`` from s = m - r down.  ``np.logaddexp(x, y)`` computes ``x +
+    log1p(exp(y - x))`` for x > y, and its mirror, as the Python table does,
+    with the same libm (numpy dispatches no SIMD loop for it), and ``x + ln
+    2`` on ties, as ``y + log1p(1.0)`` gives.  ``np.exp`` and ``np.log`` are
+    not used: their SIMD loops round differently.
+    """
+    m = len(a)
+    rev = a[::-1]
+    table = [[0.0] * (m + 1)]
+    level = np.logaddexp.accumulate(rev + 0.0)  # terms a[s] + E(s+1, 0)
+    table.append(level.tolist())
+    for r in range(2, k + 1):
+        level = np.logaddexp.accumulate(rev[r - 1 :] + level[: m - r + 1])
+        table.append(level.tolist())
+    return table
+
+
+def _lex_sample(
+    a: list[float], k: int, u: float, table: list[list[float]] | None = None
+) -> tuple[int, ...]:
+    """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
+    by inverse CDF at ``u`` in lexicographic order.
+
+    ``table`` is the suffix table of ``a`` (:func:`_suffix_table`, computed
+    here by default).  With r contents left to choose, the subsets that take
+    s come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) - E(s,
+    r))``, both at index m - r - s of their levels; the uniform is rescaled
+    into the chosen block.
+    """
+    E = _suffix_table(a, k) if table is None else table
+    exp = math.exp
+    m = len(a)
     chosen = []
     r = k
     for s in range(m):
-        # The last r contents are forced; u stays < 1, so a p rounded to 1 is taken.
-        p = 1.0 if m - s == r else exp(a[s] + L[m - s - 1][r - 1] - L[m - s][r])
-        if u < p:
+        # The last r contents are forced.  Rescaling can round u up to 1, so a
+        # p of 1, forced or rounded, is taken whatever u is.
+        t = m - r - s
+        p = 1.0 if t == 0 else exp(a[s] + E[r - 1][t] - E[r][t])
+        if u < p or p == 1.0:
             chosen.append(s + 1)
             r -= 1
             if r == 0:
@@ -87,15 +153,15 @@ class FastCore:
         self.segments = list(top.segment_areas.items())  # in the canonical order
         self.seg_areas = [a for _, a in self.segments]
         self.seg_bs = [sorted(s) for s, _ in self.segments]  # 1-based ids
-        # Per station: (segment, the other stations covering it, 0-based).
-        self.neighbours = [
-            [(q, [b - 1 for b in bs if b != j]) for q, bs in enumerate(self.seg_bs) if j in bs]
-            for j in range(1, self.n_bs + 1)
-        ]
+        # Per station, in segment order: (segment, the other stations
+        # covering it, 0-based).
+        self.neighbours = [[] for _ in range(self.n_bs)]
+        for q, bs in enumerate(self.seg_bs):
+            for j in bs:
+                self.neighbours[j - 1].append((q, [b - 1 for b in bs if b != j]))
         lam = cat.intensities
-        self.true_rates = [
-            [lam[i] * area for i in range(self.m)] for area in self.seg_areas
-        ]
+        rates = np.multiply.outer(self.seg_areas, lam)
+        self.true_rates = rates.tolist()
         self.estimator = estimator
         self.local = estimator is not None and estimator.scope == "local"
         if self.local and eta <= 0:
@@ -105,6 +171,27 @@ class FastCore:
             for _ in range(self.n_bs if self.local else 1)
         ]
         self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
+        # Above ARRAY_STEP_MK the gains read the masks as boolean rows, row
+        # n_bs all false, and per station a plan: its segments, their other
+        # stations' rows (row n_bs where there are none), where each
+        # segment's rows start, and the segments' exact rates.
+        self.arrays = self.m * self.k > ARRAY_STEP_MK
+        if self.arrays:
+            self._held = np.zeros((self.n_bs + 1, self.m), bool)
+            self._scale = np.array(self.est_scale)
+            segs, rows, starts, bounds = [], [], [], []
+            for nb in self.neighbours:
+                p0, r0 = len(segs), len(rows)
+                for q, others in nb:
+                    segs.append(q)
+                    starts.append(len(rows) - r0)
+                    rows += others or [self.n_bs]
+                bounds.append((p0, len(segs), r0, len(rows)))
+            segs, rows, starts = (np.array(x, np.intp) for x in (segs, rows, starts))
+            rates = rates[segs]
+            self._plans = [
+                (segs[a:b], rows[c:d], starts[a:b], rates[a:b]) for a, b, c, d in bounds
+            ]
         # Chain state: per station, a sorted 1-based content tuple and its bitmask.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.set_columns([most_popular_columns(lam, cache_size)] * self.n_bs)
@@ -116,12 +203,17 @@ class FastCore:
         if len(columns) != self.n_bs:
             raise ValueError("wrong number of columns")
         cols = [tuple(sorted(contents)) for contents in columns]
+        mask_of = {}  # each distinct column checked once
         for key in cols:
-            ok = all(isinstance(i, int) and 1 <= i <= self.m for i in key)
-            if not ok or len(key) != self.k or len(set(key)) != self.k:
-                raise ValueError(f"column {key} is not a K-subset of the catalog")
+            if key not in mask_of:
+                ok = all(isinstance(i, int) and 1 <= i <= self.m for i in key)
+                if not ok or len(key) != self.k or len(set(key)) != self.k:
+                    raise ValueError(f"column {key} is not a K-subset of the catalog")
+                mask_of[key] = sum(1 << (i - 1) for i in key)  # bit i - 1: content i
         self._key = tuple(cols)  # rebuilt when a column changes
-        self.masks = [sum(1 << (i - 1) for i in key) for key in cols]  # bit i - 1: content i
+        self.masks = [mask_of[key] for key in cols]
+        if self.arrays:
+            self._held[: self.n_bs] = _bits(self.masks, self.m)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Current placement as per-station 1-based content tuples."""
@@ -181,17 +273,43 @@ class FastCore:
                         g[i] += (n[i] * scale + c0) * inv
         return g
 
+    def _array_gains(self, j0: int, now: float = 0.0) -> np.ndarray:
+        """:meth:`gains` as an array, bit for bit: the rows of the segments'
+        rates, zeroed where another station holds the content, added one at
+        a time in segment order (x + 0.0 == x for the sums x >= 0 that
+        :meth:`gains` leaves where it skips a content)."""
+        segs, rows, starts, w = self._plans[j0]
+        if not len(segs):  # a station that covers no area
+            return np.zeros(self.m)
+        held = np.logical_or.reduceat(self._held[rows], starts, axis=0)
+        est = self.estimator
+        if est is not None:
+            table = self.est_counts[j0 if self.local else 0]
+            n = np.array([table[q] for q in segs], float)
+            w = (n * self._scale[segs, None] + est.c0) * (1.0 / (now + est.t0))
+        # A running sum adds the rows in order by definition; np.sum's order
+        # is unspecified (pairwise along a contiguous axis).
+        return np.add.accumulate(np.where(held, 0.0, w), axis=0)[-1]
+
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
         """Resample the column of station ``j0`` by inverse CDF at uniform
         ``u`` over the lexicographic K-subsets; returns the new column.
         """
         if not 0 <= beta < math.inf:  # checked inline: a step runs every slot
             check_beta(beta)
-        new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
+        if self.arrays:
+            a = beta * self._array_gains(j0, now)
+            new = _lex_sample(a.tolist(), self.k, u, _array_table(a, self.k))
+        else:
+            new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
         key = self._key
         if new != key[j0]:
             # Placement keys that callers keep share one tuple per column.
             new = self._interned.setdefault(new, new)
             self.masks[j0] = sum(1 << (i - 1) for i in new)
             self._key = (*key[:j0], new, *key[j0 + 1:])
+            if self.arrays:
+                row = self._held[j0]
+                row[:] = False
+                row[[i - 1 for i in new]] = True
         return self._key[j0]

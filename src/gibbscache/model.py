@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,6 +149,14 @@ def hit_rate(top: CellTopology, cat: ContentCatalog, B: Placement) -> float:
     return total
 
 
+def _set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of ``x`` >= 0, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 class UnionRates(dict):
     """Request rate of the contents of a bitmask, memoized: ``rates[union]``,
     bit ``i - 1`` set iff content ``i`` is in the union.
@@ -163,7 +171,7 @@ class UnionRates(dict):
 
     def __missing__(self, union: int) -> float:
         lam = self.lam
-        rate = self[union] = sum(lam[i] for i in range(len(lam)) if union >> i & 1)
+        rate = self[union] = sum(lam[i] for i in _set_bits(union))
         return rate
 
 

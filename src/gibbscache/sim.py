@@ -34,7 +34,7 @@ import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from math import ceil, log, sqrt
 from operator import add, or_
@@ -43,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .config import ExperimentConfig
-from .engine import FastCore
+from .engine import FastCore, _bits
 from .gibbs import GibbsParams, StateKey
-from .model import ContentCatalog, UnionRates
+from .model import ContentCatalog, UnionRates, _set_bits
 from .geometry import CellTopology
 
 # Requests drawn and served per block at most.  Any sizes give the same trace:
@@ -75,20 +75,28 @@ def substreams(seed: int) -> dict[str, random.Random]:
     }
 
 
+@cache
+def _zero_seed():
+    """A seed sequence of zeros, which ``MT19937`` copies into its state
+    without expanding a ``SeedSequence``.  Made on first use, as importing
+    ``numpy.random`` takes a few MB that the exact tools never need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ZeroSeed(ISeedSequence):
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.zeros(n_words, dtype)
+
+    return ZeroSeed()
+
+
 def _generator(rng: random.Random) -> np.random.Generator:
     """A numpy generator that continues ``rng``'s stream: both are MT19937,
     so its ``random`` yields the doubles that ``rng.random`` would.  The state
-    set decides every draw, so a fixed seed spares seeding from OS entropy."""
+    set decides every draw, so the bit generator starts from zeros."""
     _, state, _ = rng.getstate()
-    bits = np.random.MT19937(0)
+    bits = np.random.MT19937(_zero_seed())
     bits.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     return np.random.Generator(bits)
-
-
-def _bits(mask: int, m: int) -> np.ndarray:
-    """Boolean array of the low ``m`` bits of ``mask``, bit i at index i."""
-    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=m, bitorder="little").view(bool)
 
 
 def _marks(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -275,17 +283,21 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     # The masks as boolean rows, read by flat index (q * m + i): row q of
     # ``held_at`` says which contents some station of segment q holds, row
     # n_seg + j which station j holds; ``snap_held`` has the snapshot's
-    # station rows at the same places.
+    # station rows at the same places.  The real caches start as FastCore's
+    # masks; the start snapshot is the first block's first refresh.
     rates = UnionRates(cat)
-    real, terms = [0] * n_bs, [0.0] * n_seg
-    held_at = np.zeros((n_seg + n_bs) * m, bool)
-    no_segments = np.zeros(n_seg * m, bool)
+    real = core.masks[:]
+    unions = [reduce(or_, [real[b - 1] for b in bs]) for bs in seg_bs]
+    terms = [area * rates[union] for area, union in zip(core.seg_areas, unions)]
+    held_at = _bits(unions + real, m).ravel()
+    snap_held = np.zeros_like(held_at)
+    snap_rows = snap_held[n_seg * m:].reshape(n_bs, m)
 
     def hold(j: int, new: int) -> None:
         # Set station j's real mask to ``new``: write the bits that change in
         # its own row (no other station's mask enters it) and its segments'
         # rows, and refresh those segments' terms.
-        changed = [i for i in range(m) if (real[j] ^ new) >> i & 1]
+        changed = list(_set_bits(real[j] ^ new))
         real[j] = new
         for q, others in [(n_seg + j, ()), *neighbours[j]]:
             union = reduce(or_, [real[b] for b in others], new)
@@ -294,10 +306,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             if q < n_seg:
                 terms[q] = core.seg_areas[q] * rates[union]
 
-    # The real caches start as FastCore's, set on empty caches; the start
-    # snapshot is the first block's first refresh.
-    for j, mask in enumerate(core.masks):
-        hold(j, mask)
     v_key = real_key = core.columns()
     refreshes = [(0, core.masks[:])]  # a copy: a step must not write it
     real_cols = list(real_key)
@@ -445,14 +453,14 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                     last_change = t
                     new = real[j] & snap[j] | 1 << i0
                     hold(j, new)
-                    real_cols[j] = tuple(i + 1 for i in range(m) if new >> i & 1)
+                    real_cols[j] = tuple(i + 1 for i in _set_bits(new))
                     real_key = tuple(real_cols)
                     cur_h = hit_memo.get(real_key)
                     if cur_h is None:
                         cur_h = hit_memo[real_key] = reduce(add, terms, 0.0)
             if masks is not None:
                 snap = masks
-                snap_held = np.concatenate([no_segments, *(_bits(x, m) for x in snap)])
+                snap_rows[:] = _bits(snap, m)
         refreshes = []
         window = np.minimum(times / wlen, n_windows - 1).astype(np.int64)
         # Count window w's misses at 2w and its hits at 2w + 1.

@@ -4,11 +4,14 @@ reference formulas it replaces."""
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gibbscache as gc
+from gibbscache import engine
 from gibbscache.config import EstimatorConfig
-from gibbscache.engine import FastCore
+from gibbscache.engine import FastCore, _array_table, _lex_sample, _suffix_table
 from gibbscache.gibbs import candidate_columns
 from gibbscache.traffic import RateEstimates, estimated_local_energy
 from conftest import random_instance
@@ -103,6 +106,16 @@ class TestExactAgreement:
                 cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
                 assert core.step(j0, beta, u) == _inverse_cdf(cands, probs, u)
 
+    @pytest.mark.parametrize("switch", [0, math.inf])
+    def test_step_at_the_largest_uniform(self, switch, monkeypatch):
+        # At u = 1 - 2**-53, which random() can return, rescaling rounds u up
+        # to 1 on six equal weights; the last column is drawn, as the
+        # inverse CDF's limit at 1, where dividing by 1 - p once failed.
+        monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
+        core = FastCore(gc.from_intervals([(0, 6), (1, 10)]), gc.ContentCatalog((0.1,) * 6), 1)
+        assert core.step(0, 0.0, 1 - 2**-53) == (6,)
+        assert _lex_sample([0.0] * 10, 3, 1 - 2**-53) == (8, 9, 10)
+
     def test_masks_stay_consistent(self):
         rng = random.Random(54)
         top, cat, k = random_instance(rng, max_n=3, max_m=4, max_k=2)
@@ -118,6 +131,93 @@ class TestExactAgreement:
         with pytest.raises(ValueError):
             core.set_columns([range(1, k + 2)] * top.n_bs)
         assert core.masks == masks
+
+
+@st.composite
+def _weights(draw):
+    """Log-weights ``beta * g`` of up to 60 contents, drawn from a few
+    values so that ties are common, a subset size and a uniform."""
+    m = draw(st.integers(1, 60))
+    beta = draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0, 500.0, 1e4]) | st.floats(0, 1e4))
+    pool = draw(st.lists(st.floats(0, 2), min_size=1, max_size=4))
+    g = draw(st.lists(st.sampled_from(pool) | st.floats(0, 2), min_size=m, max_size=m))
+    k = draw(st.integers(1, m))
+    u = draw(st.floats(0, 1, exclude_max=True))
+    return [beta * x for x in g], k, u
+
+
+def _instance_with_eight_segments(rng):
+    """Four stations and every nonempty subset of them a segment: each
+    station lies in eight segments."""
+    areas = {
+        frozenset(j + 1 for j in range(4) if mask >> j & 1): rng.uniform(0.1, 3.0)
+        for mask in range(1, 16)
+    }
+    m = rng.randint(4, 12)
+    cat = gc.ContentCatalog(tuple(rng.uniform(0.05, 1.0) for _ in range(m)))
+    return gc.from_segments(4, areas), cat, rng.randint(1, 3)
+
+
+class TestArrayStep:
+    """Above ARRAY_STEP_MK, ``step`` computes the gains and the suffix table
+    with numpy; both must equal the Python evaluation bit for bit."""
+
+    def test_switch_point(self):
+        # line2 (M·K = 2) and hex7 (M = 8, K = 2) stay on the Python path;
+        # line30 (M = 30, K = 3) takes the arrays.
+        assert 16 <= engine.ARRAY_STEP_MK < 90
+
+    @settings(max_examples=400, deadline=None)
+    @given(_weights())
+    def test_array_table_equals_python_table(self, case):
+        a, k, u = case
+        table = _suffix_table(a, k)
+        arrays = _array_table(np.array(a), k)
+        assert [[x.hex() for x in row] for row in arrays] == [[x.hex() for x in row] for row in table]
+        assert _lex_sample(a, k, u, arrays) == _lex_sample(a, k, u)
+
+    @pytest.mark.parametrize("scope", [None, "shared", "local"])
+    def test_array_gains_equal_gains(self, scope, monkeypatch):
+        monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)
+        est = None if scope is None else EstimatorConfig(scope=scope, c0=0.3, t0=2.0)
+        rng = random.Random(59)
+        most_segments = 0
+        for trial in range(40):
+            if trial % 4:
+                top, cat, k = random_instance(rng, max_n=5, max_m=12, max_k=4)
+            else:
+                top, cat, k = _instance_with_eight_segments(rng)
+            core = FastCore(top, cat, k, est, eta=0.2)
+            assert core.arrays
+            core.set_columns(_random_key(rng, core))
+            most_segments = max(most_segments, *map(len, core.neighbours))
+            for _ in range(10):
+                if est is not None:
+                    for _ in range(20):
+                        q = rng.randrange(len(core.seg_bs))
+                        core.record_arrival(
+                            q, rng.randrange(core.m), rng.choice(core.seg_bs[q]) - 1, True
+                        )
+                j0 = rng.randrange(top.n_bs)
+                now = rng.uniform(0, 50)
+                assert core._array_gains(j0, now).tolist() == core.gains(j0, now)
+                core.step(j0, rng.uniform(0, 10), rng.random(), now)
+        assert most_segments >= 8
+
+    def test_station_without_segments(self, monkeypatch):
+        monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)
+        top = gc.from_segments(2, {frozenset({1}): 1.0})
+        core = FastCore(top, gc.ContentCatalog((0.3, 0.2, 0.1)), 2)
+        assert core._array_gains(1).tolist() == core.gains(1) == [0.0, 0.0, 0.0]
+        assert core.step(1, 5.0, 0.99) == (2, 3)
+
+    def test_logaddexp_has_no_dispatched_loop(self):
+        # The array table is bit-identical to the Python one because
+        # np.logaddexp calls libm's exp and log1p one element at a time, as
+        # math does.  A CPU-dispatched SIMD loop for it would round
+        # differently, as np.exp's and np.log's do.
+        introspect = pytest.importorskip("numpy.lib.introspect")  # numpy >= 2
+        assert "logaddexp" not in introspect.opt_func_info(func_name="logaddexp")
 
 
 class TestEstimateMode:

@@ -13,7 +13,7 @@ from gibbscache.config import EstimatorConfig
 from gibbscache.gibbs import GibbsParams
 from gibbscache.model import mask_hit_rate
 from gibbscache.realcache import most_popular_columns
-from gibbscache import sim
+from gibbscache import engine, sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
 from exact_chain import ExactChain
 
@@ -368,6 +368,35 @@ class TestRunInvariance:
         expect = gc.run(cfg, seed=3)
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         assert gc.run(cfg, seed=3) == expect
+
+    @pytest.mark.parametrize(
+        "name", ["line2", "line2-explore-learn", "line2-local", "hex7", "line3-stores", "line30"]
+    )
+    def test_array_step_leaves_trace_unchanged(self, name, line2_config, monkeypatch):
+        # FastCore.step evaluates the same law with numpy above
+        # ARRAY_STEP_MK: switching every run to it, or none, moves no bit.
+        if name == "line2-local":
+            cfg = _cfg(_replay_config("line2", line2_config), eta=0.1,
+                       estimator=EstimatorConfig(scope="local"))
+        elif name == "line30":
+            cfg = gc.build_config(
+                {
+                    "topology": {"intervals": [[3 * j, 3 * j + 5] for j in range(30)]},
+                    "catalog": {"intensities": [0.1 / i for i in range(1, 31)]},
+                    "cache": {"capacity": 3},
+                    "gibbs": {"mode": "fixed", "beta": 5.0},
+                    "traffic": {"eta": 0.01},
+                    "sim": {"horizon": 30, "record_events": True, "record_slots": True},
+                }
+            )
+        else:
+            cfg = _replay_config(name, line2_config)
+        traces = []
+        for switch in (0, math.inf):
+            monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
+            traces.append(gc.run(cfg, seed=3))
+        assert traces[0] == traces[1]
+        assert len({s[3] for s in traces[0].slots}) > 1
 
     def test_default_seed_is_the_configs(self, line2_config):
         cfg = _cfg(line2_config, horizon=500.0, seed=7)
