@@ -1,20 +1,21 @@
 """Optimized single-site sampler core shared by chain runs and the coupled
 simulation.
 
-Keeps one content bitmask per station as its only derived state.  The local
-energy is additive over a column's contents, so the Gibbs conditional over
-K-subsets is a product-weight design (conditional Poisson sampling), sampled
-exactly without enumerating candidates.  One update of station j computes
-the gains, O(|segments containing j| * M), a suffix table of M * K cells,
-and walks it in O(M), for any catalog size.  Two evaluations give the same
-bits.  Up to ``ARRAY_STEP_MK`` (M * K) they are Python float operations, one
-per gain term and per cell; above it they are numpy calls, a few per update
-for the gains and K for the table, doing the same float operations in the
-same order.  Per update on 30 stations in a line at beta = 5: 17.5 µs in
-Python at M = 16, K = 3; 26.5 µs with arrays against 28.4 in Python at
-M = 30, K = 3; 1.2 ms against 3.3 ms at M = 1000, K = 10.  The public,
-readable formulas live in ``model`` and ``gibbs``; tests assert this core
-agrees with them exactly.
+Keeps one content bitmask per station as its only placement state, which
+both evaluations below read.  The local energy is additive over a column's
+contents, so the Gibbs conditional over K-subsets is a product-weight
+design (conditional Poisson sampling), sampled exactly without enumerating
+candidates.  One update of station j computes the gains, O(|segments
+containing j| * M), a suffix table of M * K cells, and walks it in O(M), for
+any catalog size.  Two evaluations give the same bits.  Up to
+``ARRAY_STEP_MK`` (M * K) they are Python float operations, one per gain
+term and per cell; above it they are numpy calls, a few per update for the
+gains and K for the table, doing the same float operations in the same
+order.  Per update on 30 stations in a line at beta = 5: 19.7 µs in Python
+at M = 16, K = 3; 24.5 µs with arrays against 27.9 in Python at M = 30,
+K = 3; 1.1 ms against 3.4 ms at M = 1000, K = 10.  The public, readable
+formulas live in ``model`` and ``gibbs``; tests assert this core agrees
+with them exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .realcache import most_popular_columns
 
 # Above this M·K, ``FastCore.step`` evaluates the gains and the suffix table
 # with numpy.  Measured per step on 30 stations in a line (each in 2 or 3
-# segments), β = 5: the Python path is faster up to M·K = 48 (17.5 against
-# 22.3 µs at M = 16, K = 3), the two are even at 60, and the arrays are
-# faster from 80 on (26.5 against 28.4 µs at M = 30, K = 3; 62 against 102
-# µs at M = 100, K = 5).
+# segments), β = 5: the Python path is faster up to M·K = 48 (19.7 against
+# 22.2 µs at M = 16, K = 3), the two are about even at 60, and the arrays
+# are faster from 80 on (22.1 against 28.1 µs at M = 40, K = 2; 24.5
+# against 27.9 µs at M = 30, K = 3; 64 against 118 µs at M = 100, K = 5).
 ARRAY_STEP_MK = 60
 
 
@@ -96,19 +97,16 @@ def _array_table(a: np.ndarray, k: int) -> list[list[float]]:
     return table
 
 
-def _lex_sample(
-    a: list[float], k: int, u: float, table: list[list[float]] | None = None
-) -> tuple[int, ...]:
+def _lex_sample(a: list[float], k: int, u: float, table: list[list[float]]) -> tuple[int, ...]:
     """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
     by inverse CDF at ``u`` in lexicographic order.
 
-    ``table`` is the suffix table of ``a`` (:func:`_suffix_table`, computed
-    here by default).  With r contents left to choose, the subsets that take
-    s come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) - E(s,
-    r))``, both at index m - r - s of their levels; the uniform is rescaled
-    into the chosen block.
+    ``table`` is the suffix table E of ``a`` (:func:`_suffix_table` or
+    :func:`_array_table`).  With r contents left to choose, the subsets that
+    take s come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) -
+    E(s, r))``, both at index m - r - s of their levels; the uniform is
+    rescaled into the chosen block.
     """
-    E = _suffix_table(a, k) if table is None else table
     exp = math.exp
     m = len(a)
     chosen = []
@@ -117,7 +115,7 @@ def _lex_sample(
         # The last r contents are forced.  Rescaling can round u up to 1, so a
         # p of 1, forced or rounded, is taken whatever u is.
         t = m - r - s
-        p = 1.0 if t == 0 else exp(a[s] + E[r - 1][t] - E[r][t])
+        p = 1.0 if t == 0 else exp(a[s] + table[r - 1][t] - table[r][t])
         if u < p or p == 1.0:
             chosen.append(s + 1)
             r -= 1
@@ -166,32 +164,20 @@ class FastCore:
         self.local = estimator is not None and estimator.scope == "local"
         if self.local and eta <= 0:
             raise ValueError("local estimator scope requires eta > 0")
-        self.est_counts = [
-            [[0] * self.m for _ in self.segments]
-            for _ in range(self.n_bs if self.local else 1)
-        ]
-        self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
-        # Above ARRAY_STEP_MK the gains read the masks as boolean rows, row
-        # n_bs all false, and per station a plan: its segments, their other
-        # stations' rows (row n_bs where there are none), where each
-        # segment's rows start, and the segments' exact rates.
+        if estimator is not None:  # the tables record_arrival and theta use
+            self.est_counts = [
+                [[0] * self.m for _ in self.segments]
+                for _ in range(self.n_bs if self.local else 1)
+            ]
+            self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
+        # Above ARRAY_STEP_MK the gains are arrays, and each station has a
+        # plan: its segments and their exact rates.
         self.arrays = self.m * self.k > ARRAY_STEP_MK
         if self.arrays:
-            self._held = np.zeros((self.n_bs + 1, self.m), bool)
-            self._scale = np.array(self.est_scale)
-            segs, rows, starts, bounds = [], [], [], []
+            self._plans = []
             for nb in self.neighbours:
-                p0, r0 = len(segs), len(rows)
-                for q, others in nb:
-                    segs.append(q)
-                    starts.append(len(rows) - r0)
-                    rows += others or [self.n_bs]
-                bounds.append((p0, len(segs), r0, len(rows)))
-            segs, rows, starts = (np.array(x, np.intp) for x in (segs, rows, starts))
-            rates = rates[segs]
-            self._plans = [
-                (segs[a:b], rows[c:d], starts[a:b], rates[a:b]) for a, b, c, d in bounds
-            ]
+                segs = np.array([q for q, _ in nb], np.intp)
+                self._plans.append((segs, rates[segs]))
         # Chain state: per station, a sorted 1-based content tuple and its bitmask.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.set_columns([most_popular_columns(lam, cache_size)] * self.n_bs)
@@ -212,8 +198,6 @@ class FastCore:
                 mask_of[key] = sum(1 << (i - 1) for i in key)  # bit i - 1: content i
         self._key = tuple(cols)  # rebuilt when a column changes
         self.masks = [mask_of[key] for key in cols]
-        if self.arrays:
-            self._held[: self.n_bs] = _bits(self.masks, self.m)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Current placement as per-station 1-based content tuples."""
@@ -278,18 +262,24 @@ class FastCore:
         rates, zeroed where another station holds the content, added one at
         a time in segment order (x + 0.0 == x for the sums x >= 0 that
         :meth:`gains` leaves where it skips a content)."""
-        segs, rows, starts, w = self._plans[j0]
+        segs, w = self._plans[j0]
         if not len(segs):  # a station that covers no area
             return np.zeros(self.m)
-        held = np.logical_or.reduceat(self._held[rows], starts, axis=0)
+        masks = self.masks
+        unions = []  # per segment, what its other stations store
+        for _, others in self.neighbours[j0]:
+            held = 0
+            for j in others:
+                held |= masks[j]
+            unions.append(held)
         est = self.estimator
         if est is not None:
             table = self.est_counts[j0 if self.local else 0]
             n = np.array([table[q] for q in segs], float)
-            w = (n * self._scale[segs, None] + est.c0) * (1.0 / (now + est.t0))
+            w = (n * np.take(self.est_scale, segs)[:, None] + est.c0) * (1.0 / (now + est.t0))
         # A running sum adds the rows in order by definition; np.sum's order
         # is unspecified (pairwise along a contiguous axis).
-        return np.add.accumulate(np.where(held, 0.0, w), axis=0)[-1]
+        return np.add.accumulate(np.where(_bits(unions, self.m), 0.0, w), axis=0)[-1]
 
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
         """Resample the column of station ``j0`` by inverse CDF at uniform
@@ -301,15 +291,12 @@ class FastCore:
             a = beta * self._array_gains(j0, now)
             new = _lex_sample(a.tolist(), self.k, u, _array_table(a, self.k))
         else:
-            new = _lex_sample([beta * x for x in self.gains(j0, now)], self.k, u)
+            a = [beta * x for x in self.gains(j0, now)]
+            new = _lex_sample(a, self.k, u, _suffix_table(a, self.k))
         key = self._key
         if new != key[j0]:
             # Placement keys that callers keep share one tuple per column.
             new = self._interned.setdefault(new, new)
             self.masks[j0] = sum(1 << (i - 1) for i in new)
             self._key = (*key[:j0], new, *key[j0 + 1:])
-            if self.arrays:
-                row = self._held[j0]
-                row[:] = False
-                row[[i - 1 for i in new]] = True
         return self._key[j0]

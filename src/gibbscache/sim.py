@@ -308,7 +308,6 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     v_key = real_key = core.columns()
     refreshes = [(0, core.masks[:])]  # a copy: a step must not write it
-    real_cols = list(real_key)
     # The terms added left to right in segment order, as mask_hit_rate adds
     # them (sum() compensates from Python 3.12 on).
     cur_h = reduce(add, terms, 0.0)
@@ -453,8 +452,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
                     last_change = t
                     new = real[j] & snap[j] | 1 << i0
                     hold(j, new)
-                    real_cols[j] = tuple(i + 1 for i in _set_bits(new))
-                    real_key = tuple(real_cols)
+                    col = tuple(i + 1 for i in _set_bits(new))
+                    real_key = (*real_key[:j], col, *real_key[j + 1:])
                     cur_h = hit_memo.get(real_key)
                     if cur_h is None:
                         cur_h = hit_memo[real_key] = reduce(add, terms, 0.0)

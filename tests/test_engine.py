@@ -114,7 +114,7 @@ class TestExactAgreement:
         monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
         core = FastCore(gc.from_intervals([(0, 6), (1, 10)]), gc.ContentCatalog((0.1,) * 6), 1)
         assert core.step(0, 0.0, 1 - 2**-53) == (6,)
-        assert _lex_sample([0.0] * 10, 3, 1 - 2**-53) == (8, 9, 10)
+        assert _lex_sample([0.0] * 10, 3, 1 - 2**-53, _suffix_table([0.0] * 10, 3)) == (8, 9, 10)
 
     def test_masks_stay_consistent(self):
         rng = random.Random(54)
@@ -174,22 +174,29 @@ class TestArrayStep:
         table = _suffix_table(a, k)
         arrays = _array_table(np.array(a), k)
         assert [[x.hex() for x in row] for row in arrays] == [[x.hex() for x in row] for row in table]
-        assert _lex_sample(a, k, u, arrays) == _lex_sample(a, k, u)
+        assert _lex_sample(a, k, u, arrays) == _lex_sample(a, k, u, table)
 
     @pytest.mark.parametrize("scope", [None, "shared", "local"])
     def test_array_gains_equal_gains(self, scope, monkeypatch):
         monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)
         est = None if scope is None else EstimatorConfig(scope=scope, c0=0.3, t0=2.0)
         rng = random.Random(59)
-        most_segments = 0
-        for trial in range(40):
-            if trial % 4:
+        most_segments = widest = 0
+        for trial in range(44):
+            if trial >= 40:  # masks of 65 and 130 bits
+                top, _, k = random_instance(rng, max_n=5)
+                m = (65, 130)[trial % 2]
+                cat = gc.ContentCatalog(tuple(rng.uniform(0.05, 1.0) for _ in range(m)))
+            elif trial % 4:
                 top, cat, k = random_instance(rng, max_n=5, max_m=12, max_k=4)
             else:
                 top, cat, k = _instance_with_eight_segments(rng)
             core = FastCore(top, cat, k, est, eta=0.2)
             assert core.arrays
-            core.set_columns(_random_key(rng, core))
+            if trial >= 40:  # candidate_columns is capped at 10**5 columns
+                core.set_columns([rng.sample(range(1, m + 1), k) for _ in range(top.n_bs)])
+            else:
+                core.set_columns(_random_key(rng, core))
             most_segments = max(most_segments, *map(len, core.neighbours))
             for _ in range(10):
                 if est is not None:
@@ -202,7 +209,9 @@ class TestArrayStep:
                 now = rng.uniform(0, 50)
                 assert core._array_gains(j0, now).tolist() == core.gains(j0, now)
                 core.step(j0, rng.uniform(0, 10), rng.random(), now)
+                widest = max(widest, *core.masks)
         assert most_segments >= 8
+        assert widest.bit_length() > 64
 
     def test_station_without_segments(self, monkeypatch):
         monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)

@@ -370,20 +370,24 @@ class TestRunInvariance:
         assert gc.run(cfg, seed=3) == expect
 
     @pytest.mark.parametrize(
-        "name", ["line2", "line2-explore-learn", "line2-local", "hex7", "line3-stores", "line30"]
+        "name",
+        ["line2", "line2-explore-learn", "line2-local", "hex7", "line3-stores", "line30",
+         "line30-wide"],
     )
     def test_array_step_leaves_trace_unchanged(self, name, line2_config, monkeypatch):
         # FastCore.step evaluates the same law with numpy above
         # ARRAY_STEP_MK: switching every run to it, or none, moves no bit.
+        # line30-wide's masks are 100 bits wide.
         if name == "line2-local":
             cfg = _cfg(_replay_config("line2", line2_config), eta=0.1,
                        estimator=EstimatorConfig(scope="local"))
-        elif name == "line30":
+        elif name.startswith("line30"):
+            m, k = (100, 5) if name == "line30-wide" else (30, 3)
             cfg = gc.build_config(
                 {
                     "topology": {"intervals": [[3 * j, 3 * j + 5] for j in range(30)]},
-                    "catalog": {"intensities": [0.1 / i for i in range(1, 31)]},
-                    "cache": {"capacity": 3},
+                    "catalog": {"intensities": [0.1 / i for i in range(1, m + 1)]},
+                    "cache": {"capacity": k},
                     "gibbs": {"mode": "fixed", "beta": 5.0},
                     "traffic": {"eta": 0.01},
                     "sim": {"horizon": 30, "record_events": True, "record_slots": True},
@@ -397,6 +401,8 @@ class TestRunInvariance:
             traces.append(gc.run(cfg, seed=3))
         assert traces[0] == traces[1]
         assert len({s[3] for s in traces[0].slots}) > 1
+        if name == "line30-wide":  # some sampled column holds a content past bit 64
+            assert max(max(s[3][s[1] - 1]) for s in traces[0].slots) > 64
 
     def test_default_seed_is_the_configs(self, line2_config):
         cfg = _cfg(line2_config, horizon=500.0, seed=7)
