@@ -13,15 +13,23 @@ rate(union of the masks of s's stations)``, so the scan adds one table per
 segment, over the columns of that segment's stations only, broadcast over
 the other stations, in the canonical segment order: every state gets the
 additions of ``model.mask_hit_rate`` in its order, and the floats of
-``model.hit_rate``.  The transition kernels of the sampler are read from it
-too (:func:`transition_matrices`).
+``model.hit_rate``.  A union's rate depends on its columns alone, so each
+scan builds one table per segment size from the candidate columns' content
+ids: the column rates, the c x c pair-union rates, and for three or more
+stations the rates of their distinct unions.  The transition kernels of the
+sampler are read from the scan too (:func:`transition_matrices`).
+
+Every sum here is a left fold, whose bits do not depend on the Python
+version (``sum()`` of floats compensates from Python 3.12 on): a union's
+rate adds its intensities in content order, as ``model.UnionRates`` does,
+and :func:`expected_hit_rates` takes the last running sum of
+``np.add.accumulate`` over weight * rate in state order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -30,7 +38,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .geometry import CellTopology
-from .model import ContentCatalog, Placement, UnionRates, local_energy
+from .model import ContentCatalog, Placement, local_energy
 from .model import hit_rate  # noqa: F401  perfbench's tracer test checks this binding
 
 # Exact computations are gated so tests stay desk-scale; the sampler itself
@@ -224,6 +232,31 @@ def enumerate_states(
     return list(itertools.product(cands, repeat=n_bs))
 
 
+def _union_rates(lam: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rate of the union of each row of ``left`` with each row of ``right``
+    (content ids; ``lam[0]`` is 0.0), in blocks of about ``SCAN_BLOCK``
+    unions: a union's ids are sorted, an id equal to the one before it is
+    replaced by 0, and their intensities are added left to right, so every
+    entry is the fold of ``model.UnionRates`` (x + 0.0 == x)."""
+    k = left.shape[1]
+    table = np.empty((len(left), len(right)))
+    rows = max(1, SCAN_BLOCK // len(right))
+    # Ids on the first axis: (position in the union, row of left, row of right).
+    heads, tails = left.T[:, :, None], right.T[:, None]
+    for a in range(0, len(left), rows):
+        out = table[a : a + rows]
+        ids = np.empty((k + len(tails), *out.shape), dtype=np.intp)
+        ids[:k] = heads[:, a : a + rows]
+        ids[k:] = tails
+        ids.sort(axis=0)
+        np.copyto(ids[1:], 0, where=ids[1:] == ids[:-1])
+        terms = lam[ids]
+        np.add(terms[0], terms[1], out=out)
+        for term in terms[2:]:
+            out += term
+    return table
+
+
 def state_rates(
     top: CellTopology, cat: ContentCatalog, cache_size: int
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -231,41 +264,60 @@ def state_rates(
     ``product(cands, repeat=N)`` (:func:`enumerate_states`), 8 bytes per state.
 
     Segment s adds ``area_s * rate(union of its stations' masks)`` to every
-    state.  The distinct unions of its stations after the first are numbered
-    one station at a time (``ids``: the union number of each column tuple),
-    so its terms form a table over (first station's column, union number).
-    That table is gathered in blocks of the first station's columns, each
-    broadcast over the stations outside s and added to the states.
+    state.  A union's rate depends on the columns alone, so one table per
+    segment size serves every segment of that size: the column rates for one
+    station, the c x c pair-union rates for two, and for more the rates over
+    (first station's column, number of the union of the others), the
+    distinct unions numbered one station at a time.  Each rate adds the
+    union's intensities left to right in content order (``model.UnionRates``),
+    the same bits on every Python.  A segment's terms are gathered in blocks
+    of the first station's columns, broadcast over the stations outside s and
+    added to the states.
     """
     cands, masks = state_masks(cat.m_contents, top.n_bs, cache_size)
     n, c = top.n_bs, len(cands)
-    rate = UnionRates(cat)
+    lam = np.array((0.0, *cat.intensities))
+    cols = np.array(cands, dtype=np.intp)
+    terms = lam[cols]
+    for i in range(1, cache_size):
+        terms[:, :1] += terms[:, i : i + 1]
+    tables = {1: (0, terms[:, :1])}  # per segment size: union numbers, rates
+    # The unions of 1, 2, ... stations: their masks, the union number of each
+    # column tuple, and their content ids, those of the union and the column
+    # that first made them.  One station's columns number themselves.
+    others = [(masks, slice(None), cols)]
     rates = np.zeros(c**n)
     grid = rates.reshape((c,) * n)
     for s, area in top.segment_areas.items():
-        first, *rest = sorted(j - 1 for j in s)
-        # One station's masks are distinct, so its columns number themselves.
-        unions, ids = (masks, slice(None)) if rest else ([0], 0)
-        for _ in rest[1:]:
+        while len(others) < len(s) - 1:
+            unions, ids, members = others[-1]
             index: dict[int, int] = {}
-            numbers = [index.setdefault(u | b, len(index)) for u in unions for b in masks]
-            unions = list(index)
-            ids = np.array(numbers).reshape(-1, c)[ids]
-        terms = np.array([area * rate[b | u] for b in masks for u in unions]).reshape(c, -1)
-        shape = [-1] + [c if j in rest else 1 for j in range(first + 1, n)]
-        lead = (slice(None),) * first
-        rows = max(1, SCAN_BLOCK // c ** len(rest))
+            numbers = np.array([index.setdefault(u | b, len(index)) for u in unions for b in masks])
+            # A new union takes the next number: where the running maximum first reaches it.
+            made = np.maximum.accumulate(numbers).searchsorted(np.arange(len(index)))
+            members = np.concatenate((members[made // c], cols[made % c]), axis=1)
+            others.append((list(index), numbers.reshape(-1, c)[ids], members))
+        if len(s) not in tables:
+            _, ids, members = others[len(s) - 2]
+            tables[len(s)] = ids, _union_rates(lam, cols, members)
+        ids, table = tables[len(s)]
+        first = min(s)
+        shape = [-1] + [c if j in s else 1 for j in range(first + 1, n + 1)]
+        lead = (slice(None),) * (first - 1)
+        rows = max(1, SCAN_BLOCK // c ** (len(s) - 1))
         for a in range(0, c, rows):
             block = grid[lead + (slice(a, a + rows),)]
-            block += terms[a : a + rows, ids].reshape(shape)
+            block += (area * table[a : a + rows])[:, ids].reshape(shape)
     return cands, rates
 
 
-def _gibbs_weights(rates: np.ndarray, beta: float) -> list[float]:
+def _gibbs_weights(rates: np.ndarray, beta: float) -> np.ndarray:
     """exp(beta * h) / Z over ``rates``, the maximum exponent subtracted."""
-    exponents = check_beta(beta) * rates
-    weights = np.exp(exponents - exponents.max())
-    return (weights / weights.sum()).tolist()
+    weights = check_beta(beta) * rates
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    return weights
 
 
 def stationary_distribution(
@@ -274,15 +326,23 @@ def stationary_distribution(
     """Exact Gibbs distribution exp(beta * h(B)) / Z by full enumeration."""
     cands, rates = state_rates(top, cat, cache_size)
     states = itertools.product(cands, repeat=top.n_bs)
-    return dict(zip(states, _gibbs_weights(rates, beta)))
+    return dict(zip(states, _gibbs_weights(rates, beta).tolist()))
 
 
 def expected_hit_rates(rates: np.ndarray, betas: Iterable[float]) -> list[float]:
     """Expected network hit rate under the exact Gibbs distribution at each
-    beta, from the hit rates of every state (:func:`state_rates`), summed in
-    state order."""
-    h = rates.tolist()
-    return [sum(map(operator.mul, _gibbs_weights(rates, b), h)) for b in betas]
+    beta, from the hit rates of every state (:func:`state_rates`).
+
+    Each is the last running sum of weight * rate in state order: a left
+    fold from the first state, the bits of ``reduce(add, products, 0.0)`` on
+    every Python.
+    """
+    values = []
+    for b in betas:
+        terms = _gibbs_weights(rates, b)
+        terms *= rates
+        values.append(float(np.add.accumulate(terms, out=terms)[-1]))
+    return values
 
 
 def expected_hit_rate(

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -144,8 +147,7 @@ def hit_rate(top: CellTopology, cat: ContentCatalog, B: Placement) -> float:
     for subset, area in top.segment_areas.items():
         cols = [j - 1 for j in subset]
         stored = mat[:, cols].max(axis=1)
-        seg_rate = sum(lam[i] for i in range(len(lam)) if stored[i])
-        total += area * seg_rate
+        total += area * reduce(add, compress(lam, stored), 0.0)
     return total
 
 
@@ -162,16 +164,22 @@ class UnionRates(dict):
     bit ``i - 1`` set iff content ``i`` is in the union.
 
     The one rule for the rate of a union of caches, read by
-    :func:`mask_hit_rate`, ``gibbs.state_rates`` and ``sim.run``.  It sums
-    the intensities in content order, the sum of :func:`hit_rate`.
+    :func:`mask_hit_rate` and ``sim.run``: the intensities added left to
+    right in content order from 0.0, as :func:`hit_rate` adds them and as
+    ``gibbs.state_rates`` folds its column and pair tables.  A left fold
+    gives the same bits on every Python; ``sum()`` of floats compensates its
+    rounding from Python 3.12 on (``(1.0, 1e-16, 1e-16)`` sums to
+    1.0000000000000002 there, folds to 1.0).
     """
 
     def __init__(self, cat: ContentCatalog):
         self.lam = cat.intensities
 
     def __missing__(self, union: int) -> float:
-        lam = self.lam
-        rate = self[union] = sum(lam[i] for i in _set_bits(union))
+        rate = 0.0
+        for i in _set_bits(union):
+            rate += self.lam[i]
+        self[union] = rate
         return rate
 
 

@@ -2,9 +2,12 @@ import itertools
 import math
 import random
 import tracemalloc
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gibbscache as gc
 from gibbscache.errors import CapacityError
@@ -17,6 +20,7 @@ from gibbscache.gibbs import (
     transition_matrices,
     transition_matrix,
 )
+from gibbscache.model import UnionRates
 from gibbscache.realcache import most_popular_columns
 from gibbscache.sim import run_chain, substreams
 from conftest import random_instance, random_placement
@@ -312,6 +316,18 @@ class TestExpectedHitRate:
                 gc.expected_hit_rate(top, cat, k, b) for b in betas
             ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(st.floats(0.0, 500.0), max_size=3))
+    def test_left_fold_of_weighted_rates(self, seed, betas):
+        # Each value is the products weight * rate added left to right from
+        # 0.0 in state order, bit for bit, which sum() is not from Python 3.12.
+        top, cat, k = random_instance(random.Random(seed), max_m=6)
+        rates = state_rates(top, cat, k)[1]
+        betas = [0.0, 500.0, *betas]
+        for b, value in zip(betas, expected_hit_rates(rates, betas)):
+            weights = gc.stationary_distribution(top, cat, k, b).values()
+            assert value.hex() == reduce(add, map(mul, weights, rates.tolist()), 0.0).hex()
+
     def test_negative_beta_rejected(self, line2_topology, line2_catalog):
         for exact in (gc.stationary_distribution, gc.expected_hit_rate, transition_matrix):
             with pytest.raises(ValueError):
@@ -410,6 +426,36 @@ class TestBitmaskLaw:
             sizes.update(len(s) for s in top.segment_areas)
             self.check_mask_map(top, *self.random_catalog(rng))
         assert max(sizes) >= 3
+
+    def test_masks_past_64_bits(self):
+        rng = random.Random(65)
+        cat = gc.ContentCatalog(tuple(rng.uniform(0.05, 1.0) for _ in range(70)))
+        self.check_mask_map(gc.from_intervals([(0, 6), (1, 10)]), cat, 1)
+
+    def test_pairs_that_share_contents(self):
+        # K = 3: most pairs of columns share one or two contents, and three
+        # nested stations add a segment whose unions share them too.
+        cat = gc.ContentCatalog((0.5, 0.2, 0.9, 0.4, 0.3, 0.7, 0.1))
+        self.check_mask_map(gc.from_intervals([(0, 6), (1, 10)]), cat, 3)
+        top = gc.from_intervals([(0, 10), (1, 9), (2, 8)])
+        self.check_mask_map(top, gc.ContentCatalog(cat.intensities[:5]), 3)
+
+    def test_pair_table_of_many_columns(self):
+        # 300 columns: the pair table is built in several blocks.
+        cat = gc.ContentCatalog(tuple(0.1 / i for i in range(1, 301)))
+        self.check_mask_map(gc.from_intervals([(0, 6), (1, 10)]), cat, 1)
+
+    def test_union_rate_is_a_left_fold(self):
+        # Added left to right, 1.0 + 1e-16 rounds back to 1.0 twice; sum()
+        # gives 1.0000000000000002 from Python 3.12 on.
+        cat = gc.ContentCatalog((1.0, 1e-16, 1e-16))
+        assert UnionRates(cat)[0b111] == 1.0
+        top = gc.from_intervals([(0, 1), (0, 1)])
+        assert top.segment_areas == {frozenset({1, 2}): 1.0}
+        B = gc.Placement.from_columns(3, [(1, 2), (2, 3)], 2)
+        assert gc.hit_rate(top, cat, B) == 1.0
+        cands, rates = state_rates(top, cat, 2)
+        assert rates[cands.index((1, 2)) * len(cands) + cands.index((2, 3))] == 1.0
 
     def test_random_segment_sets(self):
         rng = random.Random(64)
