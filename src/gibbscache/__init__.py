@@ -6,7 +6,6 @@ from .errors import CapacityError, ConfigError
 from .geometry import CellTopology, from_discs, from_intervals, from_segments
 from .gibbs import (
     GibbsParams,
-    VirtualState,
     anneal_beta,
     conditional_distribution,
     dobrushin_bound,
@@ -31,7 +30,6 @@ from .oracle import (
     OptimalityReport,
     enumerate_optimal,
     independent_hit_rate,
-    most_popular_placement,
     optimize_two_content_mixture,
 )
 from .realcache import RealState, SnapshotSchedule, on_request, refresh_snapshot

@@ -2,7 +2,8 @@
 three-curve comparison dataset.
 
 All subcommands read one experiment config file and emit machine-readable
-JSON/CSV; files are written atomically (temp file + rename).
+JSON/CSV; files are written atomically (temp file + rename).  Means are left
+folds, so the output has the same bits on every Python.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ import math
 import os
 import sys
 import tempfile
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from . import gibbs, oracle, sim
 from .config import ExperimentConfig, parse_config
 from .errors import CapacityError, ConfigError
 from .gibbs import GibbsParams
-from .model import hit_rate
+from .model import mask_hit_rate
+from .realcache import most_popular_columns
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -66,8 +70,9 @@ def _emit(payload: dict, header: list[str], rows: list[list], args) -> None:
 
 
 def _baselines(cfg: ExperimentConfig) -> dict:
-    pop = oracle.most_popular_placement(cfg.catalog, cfg.topology.n_bs, cfg.cache_size)
-    out = {"most_popular": hit_rate(cfg.topology, cfg.catalog, pop)}
+    # Every station holds the K most popular contents.
+    pop = sum(1 << (i - 1) for i in most_popular_columns(cfg.catalog.intensities, cfg.cache_size))
+    out = {"most_popular": mask_hit_rate(cfg.topology, cfg.catalog)([pop] * cfg.topology.n_bs)}
     if cfg.catalog.m_contents == 2 and cfg.cache_size == 1:
         r_star, value = oracle.optimize_two_content_mixture(cfg.topology, cfg.catalog)
         out["independent_opt"] = value
@@ -146,7 +151,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> None:
         summaries.append(_trace_summary(trace))
         if args.out_dir and (trace.events is not None or trace.slots is not None):
             _write_logs(trace, Path(args.out_dir) / f"seed_{s}")
-    mean_rate = sum(s["hit_rate_time_avg"] for s in summaries) / len(summaries)
+    mean_rate = reduce(add, (s["hit_rate_time_avg"] for s in summaries), 0.0) / len(summaries)
     payload = {
         "replications": len(seeds),
         "mean_hit_rate_time_avg": mean_rate,
@@ -183,7 +188,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig, args) -> None:
             sim.run(fixed_cfg, args.seed + r).time_average_hit_rate(0.5, 1.0)
             for r in range(args.replications)
         ]
-        simulated = sum(sim_rates) / len(sim_rates)
+        simulated = reduce(add, sim_rates, 0.0) / len(sim_rates)
         entries.append({"beta": beta, "exact": exact, "simulated": simulated})
         rows.append([beta, exact, simulated])
     _emit({"sweep": entries}, ["beta", "exact_expected_hit_rate", "simulated_hit_rate"], rows, args)

@@ -295,7 +295,7 @@ class FastCore:
             new = _lex_sample(a, self.k, u, _suffix_table(a, self.k))
         key = self._key
         if new != key[j0]:
-            # Placement keys that callers keep share one tuple per column.
+            # Configuration keys that callers keep share one tuple per column.
             new = self._interned.setdefault(new, new)
             self.masks[j0] = sum(1 << (i - 1) for i in new)
             self._key = (*key[:j0], new, *key[j0 + 1:])

@@ -4,8 +4,10 @@ schedule, exact stationary distribution, and small-instance diagnostics.
 The single-site update resamples one station's cache column from the
 conditional distribution whose exponent is the local (neighbor- and
 segment-restricted) hit rate, by inverse CDF over the lexicographic K-subsets
-of the catalog.  Enumerating them here is the readable reference and test
-oracle; ``engine.FastCore`` samples the same law without enumeration.
+of the catalog, as :func:`state_masks` lists them.  :func:`gibbs_step` maps a
+placement and a slot index to the next placement; it is the readable
+reference and test oracle, and ``engine.FastCore`` samples the same law
+without enumeration.
 
 The exact tools enumerate every configuration.  :func:`state_rates` is their
 one scan of hit rates.  The hit rate is a sum of segment terms, ``area_s *
@@ -43,8 +45,7 @@ from .model import hit_rate  # noqa: F401  perfbench's tracer test checks this b
 
 # Exact computations are gated so tests stay desk-scale; the sampler itself
 # has no catalog-size limit.
-COND_ENUM_LIMIT = 100_000  # candidate columns per conditional step
-STATE_ENUM_LIMIT = 1_000_000  # full configuration space
+STATE_ENUM_LIMIT = 1_000_000  # configurations, or one station's candidate columns
 SCAN_BLOCK = 1 << 16  # segment-table entries per block of the state scan (at least one row)
 
 
@@ -84,26 +85,6 @@ class GibbsParams:
         return anneal_beta(self.beta0, t, n_bs)
 
 
-@dataclass(frozen=True)
-class VirtualState:
-    """Virtual-cache configuration after slot ``t``."""
-
-    placement: Placement
-    t: int = 0
-
-
-def candidate_columns(m_contents: int, cache_size: int) -> list[tuple[int, ...]]:
-    """All K-subsets of content ids (1-based), lexicographic."""
-    n = math.comb(m_contents, cache_size)
-    if n > COND_ENUM_LIMIT:
-        # As a power of ten: Python prints no int of over 4,300 digits.
-        raise CapacityError(
-            f"C({m_contents},{cache_size}) ~ 10^{math.log10(n):.1f} candidate columns "
-            f"exceeds limit {COND_ENUM_LIMIT}"
-        )
-    return list(itertools.combinations(range(1, m_contents + 1), cache_size))
-
-
 def conditional_distribution(
     top: CellTopology,
     cat: ContentCatalog,
@@ -113,43 +94,35 @@ def conditional_distribution(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Gibbs conditional over the K-subset columns for station ``j``.
 
-    Returns the lexicographic candidate list and their probabilities.  The
-    maximum exponent is subtracted before exponentiation so large ``beta *
-    energy`` values cannot overflow.
+    Returns the lexicographic candidate list (:func:`state_masks` of one
+    station) and their probabilities, weighted as the exact tools weight
+    states, so large ``beta * energy`` values cannot overflow.
     """
-    check_beta(beta)
-    cands = candidate_columns(cat.m_contents, V.cache_size)
+    cands, _ = state_masks(cat.m_contents, 1, V.cache_size)
     energies = np.array([local_energy(top, cat, V.with_column(j, c), j) for c in cands])
-    exponents = beta * energies
-    weights = np.exp(exponents - exponents.max())
-    return cands, weights / weights.sum()
+    return cands, _gibbs_weights(energies, beta)
 
 
 def gibbs_step(
-    state: VirtualState,
+    V: Placement,
+    t: int,
     params: GibbsParams,
     top: CellTopology,
     cat: ContentCatalog,
     bs_rng: random.Random,
     col_rng: random.Random,
-) -> VirtualState:
-    """One update of Algorithm-style single-site sampling.
+) -> Placement:
+    """Update slot ``t`` (0-based) of Algorithm-style single-site sampling.
 
-    Picks a station uniformly (from ``bs_rng``), resamples its column by
-    inverse CDF over the lexicographic candidates (from ``col_rng``).
+    Picks a station uniformly (from ``bs_rng``), resamples its column at
+    ``params.beta_at(t)`` by inverse CDF over the lexicographic candidates
+    (from ``col_rng``), and returns the new placement.
     """
     j = bs_rng.randrange(top.n_bs) + 1
-    beta = params.beta_at(state.t, top.n_bs)
-    cands, probs = conditional_distribution(top, cat, state.placement, j, beta)
-    u = col_rng.random()
-    acc = 0.0
-    chosen = cands[-1]
-    for c, p in zip(cands, probs):
-        acc += p
-        if u < acc:
-            chosen = c
-            break
-    return VirtualState(state.placement.with_column(j, chosen), state.t + 1)
+    cands, probs = conditional_distribution(top, cat, V, j, params.beta_at(t, top.n_bs))
+    # The first column whose running sum of probabilities exceeds u, else the last.
+    i = np.searchsorted(np.cumsum(probs), col_rng.random(), side="right")
+    return V.with_column(j, cands[min(i, len(cands) - 1)])
 
 
 def anneal_beta(beta0: float, t: int, n_bs: int) -> float:
@@ -207,8 +180,9 @@ StateKey = tuple[tuple[int, ...], ...]
 def state_masks(
     m_contents: int, n_bs: int, cache_size: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Candidate columns and their content bitmasks (bit ``i - 1`` set iff
-    content ``i`` is stored), after gating the number of configurations."""
+    """Candidate columns, the K-subsets of the content ids in lexicographic
+    order, and their content bitmasks (bit ``i - 1`` set iff content ``i`` is
+    stored), after gating the number of configurations C(M, K)**n_bs."""
     c, states = math.comb(m_contents, cache_size), 1
     for _ in range(n_bs):  # multiplied out only up to the limit
         states *= c
@@ -221,15 +195,6 @@ def state_masks(
     bits = [1 << i for i in range(m_contents)]
     cands = list(itertools.combinations(range(1, m_contents + 1), cache_size))
     return cands, list(map(sum, itertools.combinations(bits, cache_size)))
-
-
-def enumerate_states(
-    m_contents: int, n_bs: int, cache_size: int
-) -> list[StateKey]:
-    """All feasible configurations as per-station column tuples, mixed-radix
-    lexicographic order."""
-    cands, _ = state_masks(m_contents, n_bs, cache_size)
-    return list(itertools.product(cands, repeat=n_bs))
 
 
 def _union_rates(lam: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -261,7 +226,7 @@ def state_rates(
     top: CellTopology, cat: ContentCatalog, cache_size: int
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Candidate columns and the hit rate of every state, in the order of
-    ``product(cands, repeat=N)`` (:func:`enumerate_states`), 8 bytes per state.
+    ``product(cands, repeat=N)``, 8 bytes per state.
 
     Segment s adds ``area_s * rate(union of its stations' masks)`` to every
     state.  A union's rate depends on the columns alone, so one table per
@@ -379,7 +344,7 @@ def transition_matrix(
     top: CellTopology, cat: ContentCatalog, cache_size: int, beta: float
 ) -> tuple[list[StateKey], np.ndarray]:
     """Exact single-step transition matrix of the uniform-site sampler at
-    ``beta``, with rows in :func:`enumerate_states` order.  Used by the
+    ``beta``, with rows in ``product(cands, repeat=N)`` order.  Used by the
     detailed balance and convergence diagnostics on small instances."""
     cands, rates = state_rates(top, cat, cache_size)
     states = list(itertools.product(cands, repeat=top.n_bs))

@@ -6,12 +6,16 @@ the content if the reference virtual snapshot holds it, evicting every
 content the snapshot no longer lists.  Snapshots refresh at the growing
 epoch boundaries S_l = T_1 + ... + T_l, so the fraction of each epoch spent
 re-synchronizing vanishes as epochs lengthen.
+
+``sim.run`` reads :meth:`SnapshotSchedule.boundaries`; the rest of the
+schedule and the ``Placement`` functions are the reference of its request path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, count, islice
+from itertools import accumulate, count
 from typing import Iterator
 
 from .model import Placement
@@ -50,14 +54,10 @@ class SnapshotSchedule:
         """S_0 = 0, S_1, S_2, ...: the durations summed in order."""
         return accumulate(map(self.duration, count(1)), initial=0.0)
 
-    def boundary(self, l: int) -> float:
-        """S_l = T_1 + ... + T_l (S_0 = 0)."""
-        return next(islice(self.boundaries(), l, None))
-
     def kappa_zeta(self, tau: float) -> tuple[int, float]:
         """Largest l with S_l <= tau, and that boundary (0 if none)."""
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not 0 <= tau < math.inf:
+            raise ValueError(f"tau must be a finite number >= 0, got {tau!r}")
         for l, s in enumerate(self.boundaries()):
             if s > tau:
                 return l - 1, zeta

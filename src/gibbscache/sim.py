@@ -188,12 +188,13 @@ class SimTrace:
         for w in self._window_range(start_fraction, stop_fraction):
             for key, x in per_window[w].items():
                 acc[key] = acc.get(key, 0) + x
-        total = sum(acc.values())
+        total = reduce(add, acc.values(), 0.0)
         return {k: v / total for k, v in acc.items()}
 
     def _per_time(self, per_window: list, start_fraction: float, stop_fraction: float) -> float:
         windows = self._window_range(start_fraction, stop_fraction)
-        return sum(per_window[w] for w in windows) / (len(windows) * self.window_len)
+        total = reduce(add, (per_window[w] for w in windows), 0.0)
+        return total / (len(windows) * self.window_len)
 
     def real_occupancy(
         self, start_fraction: float = 0.0, stop_fraction: float = 1.0
@@ -223,11 +224,11 @@ class SimTrace:
 def tv_distance(p: dict, q: dict) -> float:
     """Total variation distance (half L1) between two distributions."""
     for name, dist in (("p", p), ("q", q)):
-        total = sum(dist.values())
+        total = reduce(add, dist.values(), 0.0)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{name} sums to {total}, not 1")
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * reduce(add, (abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys), 0.0)
 
 
 def average_distributions(dists: list[dict]) -> dict:

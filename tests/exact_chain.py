@@ -9,9 +9,11 @@ expectations for both fixed and annealed temperature schedules.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from gibbscache.gibbs import GibbsParams, enumerate_states, state_rates, transition_matrices
+from gibbscache.gibbs import GibbsParams, state_rates, transition_matrices
 
 # Periods whose kernels are held at once by ``expected_slot_counts``.
 KERNEL_CHUNK = 1 << 15
@@ -19,10 +21,10 @@ KERNEL_CHUNK = 1 << 15
 
 class ExactChain:
     def __init__(self, top, cat, cache_size):
-        self.states = enumerate_states(cat.m_contents, top.n_bs, cache_size)
+        cands, self.h = state_rates(top, cat, cache_size)
+        self.states = list(itertools.product(cands, repeat=top.n_bs))
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_bs = top.n_bs
-        self.h = state_rates(top, cat, cache_size)[1]
 
     def kernels(self, betas) -> np.ndarray:
         """One-slot transition matrices, one per entry of ``betas``."""

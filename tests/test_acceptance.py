@@ -47,7 +47,7 @@ def _check(
 def test_criterion_1_golden_reference_values(line2_topology, line2_catalog):
     tol = 1e-9
     report = gc.enumerate_optimal(line2_topology, line2_catalog, 1)
-    pop = gc.most_popular_placement(line2_catalog, 2, 1)
+    pop = gc.Placement.from_columns(2, [most_popular_columns(line2_catalog.intensities, 1)] * 2, 1)
     pop_rate = gc.hit_rate(line2_topology, line2_catalog, pop)
     r_star, indep = gc.optimize_two_content_mixture(line2_topology, line2_catalog)
     mixed_a = gc.hit_rate(

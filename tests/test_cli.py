@@ -7,7 +7,10 @@ import pytest
 import gibbscache.gibbs
 import gibbscache.sim
 from gibbscache.cli import main
+from gibbscache.config import parse_config
 from gibbscache.gibbs import state_rates
+from gibbscache.model import Placement, hit_rate
+from gibbscache.realcache import most_popular_columns
 
 REF_CONFIG = "configs/two_station_line.json"
 
@@ -164,6 +167,44 @@ class TestSweeps:
         cfg = write_cfg(tmp_path, sim={"horizon": 200, "seed": 1})
         assert main([command, "--config", cfg, "--betas", "0,1,2"]) == 0
         assert len(calls) == scans
+
+
+class TestMostPopularRate:
+    """Both commands report, bit for bit, ``hit_rate`` of the placement in
+    which every station holds the K most popular contents."""
+
+    DISCS = {"centers": [[0, 0], [1.2, 0], [0.6, 1.0]], "radii": [1, 1, 0.8], "grid_step": 0.05}
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            None,  # the shipped config
+            {
+                "topology": {"discs": DISCS},
+                "catalog": {"intensities": [0.3, 0.1, 0.2, 0.25, 0.15]},
+                "cache": {"capacity": 2},
+            },
+            {  # 1 and 4 tie; the lower id wins ({2, 3, 4} would fold to 1 - 2**-53)
+                "topology": {"intervals": [[0, 6], [1, 10], [8, 15]]},
+                "catalog": {"intensities": [0.1, 0.2, 0.7, 0.1, 0.05]},
+                "cache": {"capacity": 3},
+            },
+        ],
+        ids=["shipped", "discs", "ties"],
+    )
+    def test_equals_hit_rate_of_the_placement(self, over, tmp_path, capsys):
+        path = REF_CONFIG if over is None else write_cfg(tmp_path, **over)
+        cfg = parse_config(path)
+        column = most_popular_columns(cfg.catalog.intensities, cfg.cache_size)
+        pop = Placement.from_columns(
+            cfg.catalog.m_contents, [column] * cfg.topology.n_bs, cfg.cache_size
+        )
+        expect = hit_rate(cfg.topology, cfg.catalog, pop)
+        assert main(["optimal", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["most_popular"] == expect
+        assert main(["reproduce-fig2", "--config", path, "--betas", "1,2"]) == 0
+        curves = json.loads(capsys.readouterr().out)["curves"]
+        assert [c["most_popular"] for c in curves] == [expect, expect]
 
 
 class TestFlags:

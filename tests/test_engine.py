@@ -12,13 +12,13 @@ import gibbscache as gc
 from gibbscache import engine
 from gibbscache.config import EstimatorConfig
 from gibbscache.engine import FastCore, _array_table, _lex_sample, _suffix_table
-from gibbscache.gibbs import candidate_columns
+from gibbscache.gibbs import state_masks
 from gibbscache.traffic import RateEstimates, estimated_local_energy
 from conftest import random_instance
 
 
 def _random_key(rng, core):
-    cands = candidate_columns(core.m, core.k)
+    cands = state_masks(core.m, 1, core.k)[0]
     return tuple(cands[rng.randrange(len(cands))] for _ in range(core.n_bs))
 
 
@@ -29,7 +29,7 @@ def _column_gain(g, column):
 def _assert_energy_is_gain_plus_constant(energy, g, m, k):
     # The local energy of every candidate column c is sum(g over c) plus one
     # constant, the part that does not depend on c.
-    rest = [energy(c) - _column_gain(g, c) for c in candidate_columns(m, k)]
+    rest = [energy(c) - _column_gain(g, c) for c in state_masks(m, 1, k)[0]]
     assert max(rest) - min(rest) <= 1e-12
 
 
@@ -193,7 +193,7 @@ class TestArrayStep:
                 top, cat, k = _instance_with_eight_segments(rng)
             core = FastCore(top, cat, k, est, eta=0.2)
             assert core.arrays
-            if trial >= 40:  # candidate_columns is capped at 10**5 columns
+            if trial >= 40:  # columns drawn without listing every candidate
                 core.set_columns([rng.sample(range(1, m + 1), k) for _ in range(top.n_bs)])
             else:
                 core.set_columns(_random_key(rng, core))

@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 import gibbscache as gc
 from gibbscache.errors import CapacityError
 from gibbscache.gibbs import (
-    candidate_columns,
-    enumerate_states,
     expected_hit_rates,
     state_masks,
     state_rates,
@@ -43,25 +41,30 @@ def three_stations(m_contents):
 
 
 class TestCandidateColumns:
+    # One station's configurations are its candidate columns: the list that
+    # conditional_distribution samples from.
     def test_lexicographic(self):
-        assert candidate_columns(4, 2) == [
+        assert state_masks(4, 1, 2)[0] == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
     def test_count(self):
-        assert len(candidate_columns(6, 3)) == math.comb(6, 3)
+        assert len(state_masks(6, 1, 3)[0]) == math.comb(6, 3)
 
     def test_capacity_gate(self):
+        top = gc.from_intervals([(0.0, 1.0)])
+        cat = gc.ContentCatalog((0.1,) * 60)
+        B = gc.Placement.from_columns(60, [range(1, 31)], 30)
         with pytest.raises(CapacityError):
-            candidate_columns(60, 30)
+            gc.conditional_distribution(top, cat, B, 1, 1.0)
 
 
 class TestGatesOnHugeCounts:
     # Python will not print an int of over 4,300 digits, so the gates must
     # state these counts without converting them.
     def test_candidate_columns(self):
-        with pytest.raises(CapacityError, match=r"C\(20000,10000\) ~ 10\^6018\.4"):
-            candidate_columns(20000, 10000)
+        with pytest.raises(CapacityError, match=r"C\(20000,10000\)\*\*1 ~ 10\^6018\.4"):
+            state_masks(20000, 1, 10000)
 
     def test_state_masks(self):
         # 4060**1300 has about 4,700 digits.
@@ -112,27 +115,32 @@ class TestGibbsStep:
 
         def walk(seed):
             bs, col = random.Random(seed), random.Random(seed + 1)
-            state = gc.VirtualState(B)
+            V = B
             keys = []
-            for _ in range(50):
-                state = gc.gibbs_step(state, params, line2_topology, line2_catalog, bs, col)
-                keys.append(state.placement.columns())
+            for t in range(50):
+                V = gc.gibbs_step(V, t, params, line2_topology, line2_catalog, bs, col)
+                keys.append(V.columns())
             return keys
 
         assert walk(7) == walk(7)
         assert walk(7) != walk(8)
 
     def test_advances_clock_and_touches_one_column(self, line2_topology, line2_catalog):
-        params = gc.GibbsParams(mode="fixed", beta=2.0)
-        state = gc.VirtualState(gc.Placement.from_columns(2, [(1,), (1,)], 1))
-        bs, col = random.Random(1), random.Random(2)
-        nxt = gc.gibbs_step(state, params, line2_topology, line2_catalog, bs, col)
-        assert nxt.t == 1
-        changed = [
-            j for j in range(2)
-            if nxt.placement.columns()[j] != state.placement.columns()[j]
-        ]
-        assert len(changed) <= 1
+        # Slot t samples at params.beta_at(t): the annealed step equals the
+        # fixed step at that beta from the same draws.
+        annealed = gc.GibbsParams(mode="annealed", beta0=3.0)
+        V = gc.Placement.from_columns(2, [(1,), (1,)], 1)
+        for t in range(12):
+            nxt, same = (
+                gc.gibbs_step(
+                    V, t, p, line2_topology, line2_catalog, random.Random(t), random.Random(-t)
+                )
+                for p in (annealed, gc.GibbsParams(beta=annealed.beta_at(t, 2)))
+            )
+            assert nxt == same
+            changed = [j for j in range(2) if nxt.columns()[j] != V.columns()[j]]
+            assert len(changed) <= 1
+            V = nxt
 
     @pytest.mark.parametrize(
         "params", [gc.GibbsParams(beta=2.0), gc.GibbsParams(mode="annealed", beta0=1.0)]
@@ -148,22 +156,22 @@ class TestGibbsStep:
                 chain, _, _ = run_chain(top, cat, k, params, len(slots), seed, set(slots))
                 rngs = substreams(seed)
                 start = [most_popular_columns(cat.intensities, k)] * n
-                state = gc.VirtualState(gc.Placement.from_columns(cat.m_contents, start, k))
+                V = gc.Placement.from_columns(cat.m_contents, start, k)
                 for t in slots:
-                    state = gc.gibbs_step(
-                        state, params, top, cat, rngs["bs-pick"], rngs["column-sample"]
+                    V = gc.gibbs_step(
+                        V, t - 1, params, top, cat, rngs["bs-pick"], rngs["column-sample"]
                     )
-                    assert state.placement.columns() == chain[t]
+                    assert V.columns() == chain[t]
 
     def test_greedy_at_large_beta(self, line2_topology, line2_catalog):
         # At beta = 1e4 every conditional is effectively a point mass, so a
         # short run must land on (and stay at) the best configuration.
         params = gc.GibbsParams(mode="fixed", beta=1e4)
-        state = gc.VirtualState(gc.Placement.from_columns(2, [(1,), (1,)], 1))
+        V = gc.Placement.from_columns(2, [(1,), (1,)], 1)
         bs, col = random.Random(3), random.Random(4)
-        for _ in range(20):
-            state = gc.gibbs_step(state, params, line2_topology, line2_catalog, bs, col)
-        assert state.placement.columns() == ARGMAX
+        for t in range(20):
+            V = gc.gibbs_step(V, t, params, line2_topology, line2_catalog, bs, col)
+        assert V.columns() == ARGMAX
 
 
 class TestAnnealSchedule:
@@ -363,7 +371,7 @@ class TestBitmaskLaw:
     def check(top, cat, k):
         cands, rates = state_rates(top, cat, k)
         states = list(itertools.product(cands, repeat=top.n_bs))
-        assert states == enumerate_states(cat.m_contents, top.n_bs, k)
+        assert cands == state_masks(cat.m_contents, top.n_bs, k)[0]
         assert len(rates) == len(states)
         for key, h in zip(states, rates):
             B = gc.Placement.from_columns(cat.m_contents, key, k)
@@ -491,7 +499,7 @@ class TestBitmaskLaw:
 def rowwise_transition_matrix(top, cat, k, beta):
     """The transition matrix built row by row, one conditional law per
     (state, station)."""
-    states = enumerate_states(cat.m_contents, top.n_bs, k)
+    states = list(itertools.product(state_masks(cat.m_contents, top.n_bs, k)[0], repeat=top.n_bs))
     index = {key: i for i, key in enumerate(states)}
     n = top.n_bs
     P = np.zeros((len(states), len(states)))
@@ -561,20 +569,25 @@ class TestTransitionMatrix:
 
 
 class TestEnumerateStates:
+    # The exact tools list the states as product(cands, repeat=N).
+    @staticmethod
+    def states(m, n, k):
+        return list(itertools.product(state_masks(m, n, k)[0], repeat=n))
+
     def test_count_and_order(self):
-        states = enumerate_states(3, 2, 1)
+        states = self.states(3, 2, 1)
         assert len(states) == 9
         assert states[0] == ((1,), (1,))
         assert states[-1] == ((3,), (3,))
 
     def test_roundtrip_placement(self):
-        for key in enumerate_states(3, 2, 2):
+        for key in self.states(3, 2, 2):
             B = gc.Placement.from_columns(3, key, 2)
             assert B.columns() == key
 
     def test_capacity_gate(self):
         with pytest.raises(CapacityError):
-            enumerate_states(20, 8, 10)
+            self.states(20, 8, 10)
 
 
 class TestDobrushinBound:

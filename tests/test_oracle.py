@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import gibbscache as gc
 from gibbscache.errors import CapacityError
-from gibbscache.gibbs import enumerate_states
+from gibbscache.gibbs import state_masks
 from gibbscache.oracle import TIE_RTOL, hit_rate_bounds
+from gibbscache.realcache import most_popular_columns
 from conftest import random_instance
 
 
@@ -54,9 +56,10 @@ class TestEnumerateOptimal:
         instances = [random_instance(rng) for _ in range(15)] + [(*ulp_tie_instance(), 2)]
         for top, cat, k in instances:
             report = gc.enumerate_optimal(top, cat, k)
+            cands, _ = state_masks(cat.m_contents, top.n_bs, k)
             rates = {
                 s: gc.hit_rate(top, cat, gc.Placement.from_columns(cat.m_contents, s, k))
-                for s in enumerate_states(cat.m_contents, top.n_bs, k)
+                for s in itertools.product(cands, repeat=top.n_bs)
             }
             assert report.h_max == max(rates.values())
             assert report.h_min == min(rates.values())
@@ -64,12 +67,12 @@ class TestEnumerateOptimal:
             assert report.argmax == tuple(s for s, h in rates.items() if h >= floor)
 
     def test_one_station_past_the_column_gate(self):
-        # C(20,8) = 125,970 columns exceed conditional_distribution's gate,
-        # but one station has only that many states, within the state limit.
+        # C(20,8) = 125,970 columns: one station has only that many states,
+        # within the state limit.
         top = gc.from_intervals([(0.0, 2.0)])
         cat = gc.ContentCatalog(tuple(1 / i for i in range(1, 21)))
         report = gc.enumerate_optimal(top, cat, 8)
-        best = gc.most_popular_placement(cat, 1, 8)
+        best = gc.Placement.from_columns(20, [most_popular_columns(cat.intensities, 8)], 8)
         assert report.argmax == (best.columns(),)
         assert report.h_max == gc.hit_rate(top, cat, best)
 
@@ -97,18 +100,17 @@ class TestHitRateBounds:
 
 
 class TestMostPopularPlacement:
+    # Every station holds most_popular_columns; the CLI's baseline evaluates
+    # mask_hit_rate at their masks (tests/test_cli.py::TestMostPopularRate).
     def test_columns_identical(self, line2_catalog):
-        B = gc.most_popular_placement(line2_catalog, 3, 1)
-        assert B.columns() == ((1,), (1,), (1,))
+        assert most_popular_columns(line2_catalog.intensities, 1) == (1,)
 
     def test_line_instance_value(self, line2_topology, line2_catalog):
-        B = gc.most_popular_placement(line2_catalog, 2, 1)
-        assert gc.hit_rate(line2_topology, line2_catalog, B) == pytest.approx(0.55)
+        h = gc.mask_hit_rate(line2_topology, line2_catalog)
+        assert h([0b01, 0b01]) == pytest.approx(0.55)
 
     def test_k_most_popular(self):
-        cat = gc.ContentCatalog((0.1, 0.4, 0.2, 0.3))
-        B = gc.most_popular_placement(cat, 2, 2)
-        assert B.columns() == ((2, 4), (2, 4))
+        assert most_popular_columns((0.1, 0.4, 0.2, 0.3), 2) == (2, 4)
 
 
 class TestIndependentHitRate:

@@ -1,3 +1,6 @@
+import math
+from itertools import islice
+
 import pytest
 
 import gibbscache as gc
@@ -17,12 +20,12 @@ class TestSnapshotSchedule:
     def test_linear_durations_and_boundaries(self):
         sched = gc.SnapshotSchedule("linear", t1=10.0)
         assert [sched.duration(k) for k in (1, 2, 3)] == [10.0, 20.0, 30.0]
-        assert [sched.boundary(l) for l in (0, 1, 2, 3, 4)] == [0.0, 10.0, 30.0, 60.0, 100.0]
+        assert list(islice(sched.boundaries(), 5)) == [0.0, 10.0, 30.0, 60.0, 100.0]
 
     def test_geometric(self):
         sched = gc.SnapshotSchedule("geometric", t1=5.0, ratio=2.0)
         assert [sched.duration(k) for k in (1, 2, 3)] == [5.0, 10.0, 20.0]
-        assert sched.boundary(3) == 35.0
+        assert list(islice(sched.boundaries(), 4)) == [0.0, 5.0, 15.0, 35.0]
 
     def test_kappa_zeta(self):
         sched = gc.SnapshotSchedule("linear", t1=10.0)
@@ -38,14 +41,16 @@ class TestSnapshotSchedule:
         ids=["linear", "geometric"],
     )
     def test_kappa_zeta_matches_linear_walk(self, sched):
+        ref = gc.SnapshotSchedule(sched.kind, sched.t1, sched.ratio)
+        bounds = list(islice(ref.boundaries(), 13))  # S_0, ..., S_12
+
         def walk(tau):
             l = 0
-            while sched.boundary(l + 1) <= tau:
+            while bounds[l + 1] <= tau:
                 l += 1
-            return l, sched.boundary(l)
+            return l, bounds[l]
 
-        ref = gc.SnapshotSchedule(sched.kind, sched.t1, sched.ratio)
-        edges = [ref.boundary(l) for l in range(12)]
+        edges = bounds[:12]
         taus = edges + [(a + b) / 2 for a, b in zip(edges, edges[1:])]
         # Far first, then back to the start: the cached prefix must not matter.
         for tau in sorted(taus, reverse=True) + sorted(taus):
@@ -71,6 +76,12 @@ class TestSnapshotSchedule:
             sched.duration(0)
         with pytest.raises(ValueError):
             sched.kappa_zeta(-1.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_tau_rejected(self, tau):
+        # The walk over the boundaries would never end.
+        with pytest.raises(ValueError, match=f"tau must be a finite number >= 0, got {tau!r}"):
+            gc.SnapshotSchedule().kappa_zeta(tau)
 
 
 class TestOnRequest:

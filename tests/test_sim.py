@@ -129,6 +129,28 @@ class TestDistributionHelpers:
         assert avg == {"a": 0.5, "b": 0.5}
 
 
+class TestLeftFolds:
+    """Sums of floats are left folds, the same bits on every Python: sum()
+    compensates from Python 3.12 on, where (1.0, 1e-16, 1e-16) sums to
+    1.0000000000000002 but folds to 1.0."""
+
+    def test_window_sums(self, line2_config):
+        trace = gc.run(dataclasses.replace(line2_config, horizon=30.0), seed=1)
+        keys = [((1,), (1,)), ((1,), (2,)), ((2,), (1,))]
+        values = (1.0, 1e-16, 1e-16)
+        trace = dataclasses.replace(
+            trace, n_windows=3, h_integral=list(values),
+            real_occ=[{key: x} for key, x in zip(keys, values)],
+        )
+        assert trace.time_average_hit_rate() == 1.0 / 30.0
+        assert trace.real_occupancy() == dict(zip(keys, values))
+
+    def test_tv_distance(self):
+        # Differences 0.5, 0.5, 1e-16, 1e-16, in the order of the int keys.
+        p = {0: 0.5, 1: 0.5, 2: 1e-16, 3: 1e-16}
+        assert gc.tv_distance(p, {0: 1.0}) == 0.5
+
+
 class TestRunChain:
     def test_deterministic(self, line2_topology, line2_catalog):
         params = GibbsParams(mode="fixed", beta=2.0)
@@ -505,12 +527,8 @@ class TestRunAccounting:
         assert direct == pytest.approx(rebuilt, rel=1e-9)
 
     def test_snapshot_times_are_boundaries(self, short_trace, line2_config):
-        sched = line2_config.schedule
-        expect = []
-        l = 1
-        while sched.boundary(l) <= short_trace.horizon:
-            expect.append(sched.boundary(l))
-            l += 1
+        boundaries = itertools.islice(line2_config.schedule.boundaries(), 1, None)
+        expect = list(itertools.takewhile(lambda s: s <= short_trace.horizon, boundaries))
         assert [t for t, _ in short_trace.snapshots] == expect
 
     def test_served_hits_only_from_real_holders(self, short_cfg, short_trace):
