@@ -13,9 +13,15 @@ term and per cell; above it they are numpy calls, a few per update for the
 gains and K for the table, doing the same float operations in the same
 order.  Per update on 30 stations in a line at beta = 5: 19.7 µs in Python
 at M = 16, K = 3; 24.5 µs with arrays against 27.9 in Python at M = 30,
-K = 3; 1.1 ms against 3.4 ms at M = 1000, K = 10.  The public, readable
-formulas live in ``model`` and ``gibbs``; tests assert this core agrees
-with them exactly.
+K = 3; 1.1 ms against 3.4 ms at M = 1000, K = 10.
+
+``advance`` runs a run of slots from draws read ahead.  Where no station
+has more than ``BLOCK_CONTEXTS`` contexts (the columns of the stations it
+shares a segment with), it runs them as one ``block``: every slot evaluated
+for every context of its station at once, in arrays, then resolved in
+order (``blocks``); elsewhere one ``step`` per slot.  Both give the same
+columns.  The public, readable formulas live in ``model`` and ``gibbs``;
+tests assert this core agrees with them exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blocks import Arrivals, Blocks, _array_table, _gain_rows
 from .config import EstimatorConfig
 from .geometry import CellTopology
 from .gibbs import check_beta
@@ -39,6 +46,18 @@ from .realcache import most_popular_columns
 # are faster from 80 on (22.1 against 28.1 µs at M = 40, K = 2; 24.5
 # against 27.9 µs at M = 30, K = 3; 64 against 118 µs at M = 100, K = 5).
 ARRAY_STEP_MK = 60
+
+# ``FastCore.advance`` runs slots in blocks (``blocks.Blocks``) where no
+# station has more contexts than this, C(M, K) ** (its neighbours), and the
+# catalog has no more columns.  Measured per slot of ``run_chain`` at
+# beta0 = 1 annealed, blocks against the ``step`` loop: 1.7 against 6.5 µs
+# on line2 (2 contexts); 2.3 against 6.7 on 3 stations in a line at M = 2,
+# K = 1 (4); 6.7 against 10.2 on line2 at M = 4, K = 2 (6); 5.9 against 6.3
+# at M = 8, K = 1 (8).  At 9 contexts it depends on M: 3.2 against 4.2 on
+# 3 stations at M = 3, but 7.9 against 7.2 on line2 at M = 9 and 6.4
+# against 5.3 on 30 stations at M = 3; from 10 on the loop wins (12.9
+# against 6.7 at 10, 27.9 against 6.2 at 36).
+BLOCK_CONTEXTS = 8
 
 
 def _bits(masks: Sequence[int], m: int) -> np.ndarray:
@@ -76,33 +95,12 @@ def _suffix_table(a: list[float], k: int) -> list[list[float]]:
     return table
 
 
-def _array_table(a: np.ndarray, k: int) -> list[list[float]]:
-    """:func:`_suffix_table` of ``a`` in K numpy calls, bit for bit.
-
-    Level r is the running ``np.logaddexp`` of the terms ``a[s] + E(s+1,
-    r-1)`` from s = m - r down.  ``np.logaddexp(x, y)`` computes ``x +
-    log1p(exp(y - x))`` for x > y, and its mirror, as the Python table does,
-    with the same libm (numpy dispatches no SIMD loop for it), and ``x + ln
-    2`` on ties, as ``y + log1p(1.0)`` gives.  ``np.exp`` and ``np.log`` are
-    not used: their SIMD loops round differently.
-    """
-    m = len(a)
-    rev = a[::-1]
-    table = [[0.0] * (m + 1)]
-    level = np.logaddexp.accumulate(rev + 0.0)  # terms a[s] + E(s+1, 0)
-    table.append(level.tolist())
-    for r in range(2, k + 1):
-        level = np.logaddexp.accumulate(rev[r - 1 :] + level[: m - r + 1])
-        table.append(level.tolist())
-    return table
-
-
 def _lex_sample(a: list[float], k: int, u: float, table: list[list[float]]) -> tuple[int, ...]:
     """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
     by inverse CDF at ``u`` in lexicographic order.
 
-    ``table`` is the suffix table E of ``a`` (:func:`_suffix_table` or
-    :func:`_array_table`).  With r contents left to choose, the subsets that
+    ``table`` is the suffix table E of ``a`` (:func:`_suffix_table`, or
+    level 0 and the levels of :func:`_array_table`).  With r contents left to choose, the subsets that
     take s come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) -
     E(s, r))``, both at index m - r - s of their levels; the uniform is
     rescaled into the chosen block.
@@ -132,7 +130,7 @@ class FastCore:
 
     Per-(content, segment) arrival rates are exact (lambda_i * area) when
     ``estimator`` is None, else ``(count * scale + c0) / (now + t0)`` over the
-    arrivals fed to :meth:`record_arrival`: one table shared network-wide, or
+    arrivals counted by :meth:`record_arrivals`: one table shared network-wide, or
     one per station under ``local`` scope, fed by the requests it served by
     exploration and scaled by |s| / eta to stay unbiased.
     """
@@ -164,7 +162,7 @@ class FastCore:
         self.local = estimator is not None and estimator.scope == "local"
         if self.local and eta <= 0:
             raise ValueError("local estimator scope requires eta > 0")
-        if estimator is not None:  # the tables record_arrival and theta use
+        if estimator is not None:  # the tables record_arrivals and theta use
             self.est_counts = [
                 [[0] * self.m for _ in self.segments]
                 for _ in range(self.n_bs if self.local else 1)
@@ -178,6 +176,13 @@ class FastCore:
             for nb in self.neighbours:
                 segs = np.array([q for q, _ in nb], np.intp)
                 self._plans.append((segs, rates[segs]))
+        # Below BLOCK_CONTEXTS, slots run in blocks, planned on first use.
+        cols = math.comb(self.m, self.k)
+        self.blocks = cols <= BLOCK_CONTEXTS and all(
+            cols ** len({o for _, others in nb for o in others}) <= BLOCK_CONTEXTS
+            for nb in self.neighbours
+        )
+        self._block_plan = None
         # Chain state: per station, a sorted 1-based content tuple and its bitmask.
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.set_columns([most_popular_columns(lam, cache_size)] * self.n_bs)
@@ -205,17 +210,28 @@ class FastCore:
 
     # -- rates -------------------------------------------------------------
 
-    def record_arrival(self, q: int, i0: int, bs0: int, explored: bool) -> None:
-        """Count a request for content ``i0`` (0-based) from segment ``q``,
-        served by station ``bs0`` (0-based), by exploration or not.
+    def arrivals(self, q, i0, bs0, explored) -> Arrivals:
+        """Requests, in arrival order, for content ``i0`` (0-based) from
+        segment ``q``, served by station ``bs0`` (0-based), by exploration or
+        not (arrays), each with the cell that counts it: (table, segment,
+        content) numbered in the order of ``est_counts`` flattened, or -1.
 
         The shared table counts every request; station ``bs0``'s local table
         counts only the requests it served by exploration.
         """
-        if not self.local:
-            self.est_counts[0][q][i0] += 1
-        elif explored:
-            self.est_counts[bs0][q][i0] += 1
+        cells = np.asarray(q) * self.m + i0
+        if self.local:
+            cells = np.where(explored, np.asarray(bs0) * (len(self.segments) * self.m) + cells, -1)
+        return Arrivals(cells)
+
+    def record_arrivals(self, arrivals: Arrivals, stop: int) -> None:
+        """Count the requests of ``arrivals`` up to position ``stop``."""
+        n_seg, m = len(self.segments), self.m
+        counts = arrivals.count(np.arange(len(self.est_counts) * n_seg * m), stop)
+        for cell in np.flatnonzero(counts).tolist():
+            table, qi = divmod(cell, n_seg * m)
+            self.est_counts[table][qi // m][qi % m] += int(counts[cell])
+        arrivals.recorded = stop
 
     def theta(self, q: int, i0: int, now: float, table: int = 0) -> float:
         """Estimated rate of content ``i0`` (0-based) in segment ``q`` at ``now``."""
@@ -277,9 +293,7 @@ class FastCore:
             table = self.est_counts[j0 if self.local else 0]
             n = np.array([table[q] for q in segs], float)
             w = (n * np.take(self.est_scale, segs)[:, None] + est.c0) * (1.0 / (now + est.t0))
-        # A running sum adds the rows in order by definition; np.sum's order
-        # is unspecified (pairwise along a contiguous axis).
-        return np.add.accumulate(np.where(_bits(unions, self.m), 0.0, w), axis=0)[-1]
+        return _gain_rows(_bits(unions, self.m), w)
 
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
         """Resample the column of station ``j0`` by inverse CDF at uniform
@@ -289,7 +303,8 @@ class FastCore:
             check_beta(beta)
         if self.arrays:
             a = beta * self._array_gains(j0, now)
-            new = _lex_sample(a.tolist(), self.k, u, _array_table(a, self.k))
+            table = [[0.0] * (self.m + 1)] + [level.tolist() for level in _array_table(a, self.k)]
+            new = _lex_sample(a.tolist(), self.k, u, table)
         else:
             a = [beta * x for x in self.gains(j0, now)]
             new = _lex_sample(a, self.k, u, _suffix_table(a, self.k))
@@ -300,3 +315,38 @@ class FastCore:
             self.masks[j0] = sum(1 << (i - 1) for i in new)
             self._key = (*key[:j0], new, *key[j0 + 1:])
         return self._key[j0]
+
+    def advance(self, stations, betas, uniforms, now=None, arrivals=None, fed=None) -> list:
+        """Run one update per slot t: station ``stations[t]`` (0-based) at
+        ``betas[t]`` and ``uniforms[t]``, at time ``now[t]``; returns the
+        configuration after each slot.  With an estimator, slot t sees the
+        requests of ``arrivals`` before position ``fed[t]``, which are
+        recorded.  Where no station has more than ``BLOCK_CONTEXTS``
+        contexts (``blocks``), the slots run as one :meth:`block`, else one
+        :meth:`step` each."""
+        if self.blocks:
+            return self.block(stations, betas, uniforms, now, arrivals, fed)
+        keys = []
+        times = [0.0] * len(stations) if now is None else now.tolist()
+        for t, (j0, beta, u) in enumerate(zip(stations.tolist(), betas.tolist(), uniforms.tolist())):
+            if arrivals is not None and fed[t] > arrivals.recorded:
+                self.record_arrivals(arrivals, fed[t])
+            self.step(j0, beta, u, times[t])
+            keys.append(self._key)
+        return keys
+
+    def block(self, stations, betas, uniforms, now=None, arrivals=None, fed=None) -> list:
+        """:meth:`advance` in one block (``blocks.Blocks``): every slot is
+        evaluated for every context of its station, then resolved in order.
+        The columns equal those of :meth:`step`, bit for bit."""
+        if not (0 <= betas.min() and betas.max() < math.inf):  # nan fails too
+            for beta in betas.tolist():
+                check_beta(beta)
+        if self._block_plan is None:
+            self._block_plan = Blocks(self)
+        keys, ranks = self._block_plan.run(self, stations, betas, uniforms, now, arrivals, fed)
+        if arrivals is not None:
+            self.record_arrivals(arrivals, fed[-1])
+        self._key = keys[-1]
+        self.masks = [self._block_plan.col_masks[r] for r in ranks]
+        return keys

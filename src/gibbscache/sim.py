@@ -8,10 +8,12 @@ fixed number of equal time windows so burn-in / final-third statistics can
 be extracted without storing per-event logs; full logs are optional.
 
 Requests are drawn in blocks, and each block runs in two passes, as nothing
-the real caches do feeds back into the sampler.  The first fires the
-block's slot updates, fed the arrivals before each when the chain learns
-the rates, and records at each snapshot boundary a refresh: the first
-request it applies to and a copy of the virtual masks.  The second serves
+the real caches do feeds back into the sampler.  The first runs the
+block's slot updates through ``FastCore.advance``, up to ``_SLOTS`` at a
+time (in slot blocks where stations have few contexts), each seeing the
+arrivals before it when the chain learns the rates, and records at each
+snapshot boundary a refresh: the first request it applies to and the
+virtual masks after the slots before it.  The second serves
 the requests span by span between refreshes.  A request's server draws do
 not depend on the caches (see ``traffic.assign_server``), so at a fixed real
 state it hits iff a covering station holds the content, or, if it explores,
@@ -23,9 +25,10 @@ the hit rate.  Blocks are sized to the arrivals left; marks use guide tables.
 
 All randomness flows from one seed expanded into named substreams
 (bs-pick, column-sample, arrivals, content-mark, segment-mark,
-server-pick), so identical (config, seed) pairs give identical traces.  The
-request streams are read in blocks through numpy generators that continue
-them, which yield the same doubles one draw at a time would.
+server-pick), so identical (config, seed) pairs give identical traces.
+Every stream is read ahead in arrays that hold the draws one draw at a time
+would give: the request streams through numpy generators that continue
+them, the chain's from their raw outputs (``blocks.SlotDraws``).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from .blocks import SlotDraws, slot_betas
 from .config import ExperimentConfig
 from .engine import FastCore, _bits
 from .gibbs import GibbsParams, StateKey
@@ -55,6 +59,7 @@ from .geometry import CellTopology
 # or more: smaller freed arrays stay in numpy's cache and pile up over runs.
 _CHUNK = 1 << 12
 _GUIDE = 1 << 12  # buckets of a guide table of marks
+_SLOTS = 1 << 10  # virtual-chain slots run at a time (FastCore.advance)
 
 STREAM_NAMES = (
     "bs-pick",
@@ -247,9 +252,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     if seed is None:
         seed = config.seed
     rngs = substreams(seed)
-    bs_randrange = rngs["bs-pick"].randrange
-    col_random = rngs["column-sample"].random
-    # The request streams are drawn ahead, a block at a time.
+    # Every stream is drawn ahead, a block at a time.
+    draws = SlotDraws(rngs["bs-pick"], rngs["column-sample"], top.n_bs)
     arr_gen, content_gen, segment_gen, server_gen = (
         _generator(rngs[name]) for name in STREAM_NAMES[2:]
     )
@@ -342,12 +346,10 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
 
     spacing = config.slot_spacing
     slot_idx = 0  # number of updates performed; update k fires at (k+1)*spacing
-    next_slot = spacing
     last_change = 0.0
     tau = 0.0  # the latest arrival time
     beta_at = config.gibbs.beta_at
     beta = beta_at(0, n_bs)
-    step, columns, record_arrival = core.step, core.columns, core.record_arrival
     # The serving pass's flags, the only per-run arrays: it writes them span
     # by span with np.take(out=), as arrays sized by a span would pile up in
     # numpy's cache of freed buffers under 1 KiB over many runs.
@@ -379,47 +381,63 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
         # others iff some covering station does.
         hit_at = np.where(explore, served_at, segment * m + content)
         if learning:
-            # record_arrival reads the server of explored requests only,
-            # which ``station`` holds.
-            arrivals = zip(segment[:n].tolist(), content[:n].tolist(),
-                           station[:n].tolist(), explore[:n].tolist())
-        fed = 0  # requests of the block fed to the estimator
+            # The estimator reads the server of explored requests only, which
+            # ``station`` holds.
+            arrivals = core.arrivals(segment[:n], content[:n], station[:n], explore[:n])
         limit = time_at[n - 1] if n == c else horizon
 
-        # Pass 1, the virtual chain: fire slot updates and snapshot
-        # boundaries up to the block's last arrival, snapshots first on ties
-        # (the reference is V at the boundary minus); an arrival at an
-        # update's time comes after it.  Each boundary records a refresh:
-        # the first request it applies to and the masks it copies.
+        # Pass 1, the virtual chain: run the slot updates up to the block's
+        # last arrival, _SLOTS at a time; an arrival at an update's time
+        # comes after it.  Each snapshot boundary up to there records a
+        # refresh: the first request it applies to and the masks of the
+        # configuration after the slots before it (snapshots go first on
+        # ties: the reference is V at the boundary minus).
+        last = int(limit / spacing)  # the slots up to limit, exactly
+        while (last + 1) * spacing <= limit:
+            last += 1
+        while last > slot_idx and last * spacing > limit:
+            last -= 1
         while True:
-            t_slot = next_slot
-            if next_boundary <= limit and next_boundary <= t_slot:
-                k = bisect.bisect_left(time_at, next_boundary, 0, n)
-                refreshes.append((k, core.masks[:]))
-                snapshots.append((next_boundary, v_key))
-                next_boundary = next(boundaries)
-                continue
-            if t_slot <= limit:
+            count = min(last - slot_idx, _SLOTS)
+            # The slots' arrays are computed for the next power of two slots,
+            # so that they take a few sizes only (numpy keeps freed buffers of
+            # each size under 1 KiB), and read up to count.
+            size = 1 << max(0, count - 1).bit_length()
+            t_all = np.arange(slot_idx + 1, slot_idx + size + 1) * spacing
+            t_slots = t_all[:count]
+            if count:
+                js, us = draws.take(count)
+                betas = slot_betas(beta_at, slot_idx, slot_idx + size, n_bs)[:count]
                 if learning:
-                    k = bisect.bisect_left(time_at, t_slot, fed, n)
-                    for arrival in islice(arrivals, k - fed):
-                        record_arrival(*arrival)
-                    fed = k
-                beta = beta_at(slot_idx, n_bs)
-                j0 = bs_randrange(n_bs)
-                step(j0, beta, col_random(), t_slot)
-                v_key = columns()
-                w = min(int(t_slot / wlen), n_windows - 1)
-                v_counts[w][v_key] += 1
-                if slots is not None:
-                    slots.append((slot_idx, j0 + 1, beta, v_key))
-                slot_idx += 1
-                next_slot = (slot_idx + 1) * spacing
-                continue
-            break
+                    fed = np.searchsorted(times[:n], t_all)[:count]
+                    keys = core.advance(js, betas, us, t_slots, arrivals, fed)
+                else:
+                    keys = core.advance(js, betas, us)
+            edge = t_slots[-1] if count else limit
+            while next_boundary <= edge:
+                i = int(np.searchsorted(t_slots, next_boundary))
+                key = keys[i - 1] if i else v_key
+                r = bisect.bisect_left(time_at, next_boundary, 0, n)
+                refreshes.append((r, [sum(1 << (x - 1) for x in col) for col in key]))
+                snapshots.append((next_boundary, key))
+                next_boundary = next(boundaries)
+            if not count:
+                break
+            w = min(int(t_slots[0] / wlen), n_windows - 1)
+            if w == min(int(t_slots[-1] / wlen), n_windows - 1):
+                v_counts[w].update(keys)
+            else:  # the slots' windows, split where they change
+                window = np.minimum((t_all / wlen).astype(np.int64), n_windows - 1)
+                changes = (np.flatnonzero(np.diff(window)) + 1).tolist()
+                edges = [0, *(e for e in changes if e < count), count]
+                for a, b in zip(edges, edges[1:]):
+                    v_counts[window[a]].update(keys[a:b])
+            if slots is not None:
+                slots.extend(zip(range(slot_idx, slot_idx + count), (js + 1).tolist(), betas.tolist(), keys))
+            v_key, beta = keys[-1], float(betas[-1])
+            slot_idx += count
         if learning:
-            for arrival in arrivals:
-                record_arrival(*arrival)
+            core.record_arrivals(arrivals, n)
 
         # Pass 2, the real caches: serve the requests up to each refresh, and
         # then up to the block's end, in passes that look the rest up at the
@@ -526,17 +544,18 @@ def run_chain(
     configuration.  Used by convergence diagnostics that need no traffic.
     """
     rngs = substreams(seed)
-    r_bs, r_col = rngs["bs-pick"], rngs["column-sample"]
+    draws = SlotDraws(rngs["bs-pick"], rngs["column-sample"], top.n_bs)
     core = FastCore(top, cat, cache_size)
     if initial is not None:
         core.set_columns(initial)
     samples: dict[int, StateKey] = {}
     occupancy: Counter = Counter()
-    for t in range(n_slots):
-        beta = params.beta_at(t, top.n_bs)
-        core.step(r_bs.randrange(top.n_bs), beta, r_col.random())
-        key = core.columns()
-        occupancy[key] += 1
-        if record_at and t + 1 in record_at:
-            samples[t + 1] = key
+    marks = sorted(record_at or ())
+    for k0 in range(0, n_slots, _SLOTS):
+        k1 = min(n_slots, k0 + _SLOTS)
+        js, us = draws.take(k1 - k0)
+        keys = core.advance(js, slot_betas(params.beta_at, k0, k1, top.n_bs), us)
+        occupancy.update(keys)
+        for t in marks[bisect.bisect_right(marks, k0) : bisect.bisect_right(marks, k1)]:
+            samples[t] = keys[t - k0 - 1]
     return samples, occupancy, core.columns()

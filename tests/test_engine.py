@@ -42,6 +42,12 @@ def _inverse_cdf(cands, probs, u):
     return cands[-1]
 
 
+def _record(core, q, i0, bs0, explored):
+    """Count one request (content ``i0`` from segment ``q``, served by
+    ``bs0``, by exploration or not)."""
+    core.record_arrivals(core.arrivals([q], [i0], [bs0], [explored]), 1)
+
+
 class TestExactAgreement:
     def test_candidate_energies_match_reference(self):
         rng = random.Random(51)
@@ -172,7 +178,7 @@ class TestArrayStep:
     def test_array_table_equals_python_table(self, case):
         a, k, u = case
         table = _suffix_table(a, k)
-        arrays = _array_table(np.array(a), k)
+        arrays = [[0.0] * (len(a) + 1), *(level.tolist() for level in _array_table(np.array(a), k))]
         assert [[x.hex() for x in row] for row in arrays] == [[x.hex() for x in row] for row in table]
         assert _lex_sample(a, k, u, arrays) == _lex_sample(a, k, u, table)
 
@@ -202,9 +208,7 @@ class TestArrayStep:
                 if est is not None:
                     for _ in range(20):
                         q = rng.randrange(len(core.seg_bs))
-                        core.record_arrival(
-                            q, rng.randrange(core.m), rng.choice(core.seg_bs[q]) - 1, True
-                        )
+                        _record(core, q, rng.randrange(core.m), rng.choice(core.seg_bs[q]) - 1, True)
                 j0 = rng.randrange(top.n_bs)
                 now = rng.uniform(0, 50)
                 assert core._array_gains(j0, now).tolist() == core.gains(j0, now)
@@ -239,7 +243,7 @@ class TestEstimateMode:
         for _ in range(500):
             req = gc.next_request(rng, line2_topology, line2_catalog, tau)
             tau = req.time
-            core.record_arrival(seg_index[req.segment], req.content - 1, 0, False)
+            _record(core, seg_index[req.segment], req.content - 1, 0, False)
             ref.observe(req, tau)
         for q, s in enumerate(core.seg_bs):
             for i in range(2):
@@ -256,7 +260,7 @@ class TestEstimateMode:
         for _ in range(300):
             req = gc.next_request(rng, line2_topology, line2_catalog, tau)
             tau = req.time
-            core.record_arrival(seg_index[req.segment], req.content - 1, 0, False)
+            _record(core, seg_index[req.segment], req.content - 1, 0, False)
             ref.observe(req, tau)
         for cols in (((1,), (1,)), ((2,), (1,))):
             core.set_columns(cols)
@@ -274,9 +278,9 @@ class TestEstimateMode:
         core = FastCore(line2_topology, line2_catalog, 1, EstimatorConfig(scope="local"), eta)
         # Shared segment {1, 2} has |s| = 2, so counts are scaled by 2/eta.
         q = next(i for i, s in enumerate(core.seg_bs) if s == [1, 2])
-        core.record_arrival(q, 0, 0, True)
+        _record(core, q, 0, 0, True)
         # A local table counts only the requests its station explored.
-        core.record_arrival(q, 0, 1, False)
+        _record(core, q, 0, 1, False)
         now = 10.0
         assert core.theta(q, 0, now, table=0) == pytest.approx(
             (1 * 2 / eta + 1.0) / (now + 1.0)
@@ -289,7 +293,7 @@ class TestEstimateMode:
         rng = random.Random(57)
         for _ in range(200):
             q = rng.randrange(len(core.seg_bs))
-            core.record_arrival(q, rng.randrange(2), rng.choice(core.seg_bs[q]) - 1, True)
+            _record(core, q, rng.randrange(2), rng.choice(core.seg_bs[q]) - 1, True)
         core.set_columns(((1,), (2,)))
         q_of = {tuple(s): q for q, s in enumerate(core.seg_bs)}
         now = 50.0

@@ -21,7 +21,7 @@ from gibbscache.gibbs import (
 from gibbscache.model import UnionRates
 from gibbscache.realcache import most_popular_columns
 from gibbscache.sim import run_chain, substreams
-from conftest import random_instance, random_placement
+from conftest import random_instance
 
 # Exact Gibbs distribution at beta = 2 on the two-station line instance,
 # frozen from exp(2 * h) / Z with the hand-computed hit rates.

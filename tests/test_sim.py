@@ -2,7 +2,7 @@ import bisect
 import dataclasses
 import itertools
 import math
-import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +27,26 @@ PI_BETA2 = {
 
 def _cfg(line2_config, **overrides):
     return dataclasses.replace(line2_config, **overrides)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Slots run by each path of ``FastCore.advance``: ``block`` adds the
+    slots of each block call, ``step`` counts step calls."""
+    counts = Counter()
+    block, step = engine.FastCore.block, engine.FastCore.step
+
+    def counted_block(self, stations, *args):
+        counts["block"] += len(stations)
+        return block(self, stations, *args)
+
+    def counted_step(self, *args):
+        counts["step"] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(engine.FastCore, "block", counted_block)
+    monkeypatch.setattr(engine.FastCore, "step", counted_step)
+    return counts
 
 
 class TestSubstreams:
@@ -331,9 +351,12 @@ def _replay_config(name, line2_config):
 class TestReplay:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["line2", "line2-explore-learn", "hex7", "line3-stores"])
-    def test_request_api_reproduces_run(self, name, seed, line2_config):
+    def test_request_api_reproduces_run(self, name, seed, line2_config, paths):
         cfg = _replay_config(name, line2_config)
         trace = gc.run(cfg, seed=seed)
+        # line2 runs its slots in blocks; hex7 (28 columns) and line3-stores
+        # (20) one step each.
+        assert paths == {"block" if name.startswith("line2") else "step": trace.n_slots}
         # Each snapshot is the virtual configuration after the slots that
         # fired before its boundary (snapshots go first on ties).
         init = (most_popular_columns(cfg.catalog.intensities, cfg.cache_size),) * cfg.topology.n_bs
@@ -396,10 +419,12 @@ class TestRunInvariance:
         ["line2", "line2-explore-learn", "line2-local", "hex7", "line3-stores", "line30",
          "line30-wide"],
     )
-    def test_array_step_leaves_trace_unchanged(self, name, line2_config, monkeypatch):
+    def test_array_step_leaves_trace_unchanged(self, name, line2_config, monkeypatch, paths):
         # FastCore.step evaluates the same law with numpy above
         # ARRAY_STEP_MK: switching every run to it, or none, moves no bit.
-        # line30-wide's masks are 100 bits wide.
+        # line30-wide's masks are 100 bits wide.  line2 would run in blocks,
+        # so every run here is held on the step path.
+        monkeypatch.setattr(engine, "BLOCK_CONTEXTS", 0)
         if name == "line2-local":
             cfg = _cfg(_replay_config("line2", line2_config), eta=0.1,
                        estimator=EstimatorConfig(scope="local"))
@@ -421,6 +446,7 @@ class TestRunInvariance:
         for switch in (0, math.inf):
             monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
             traces.append(gc.run(cfg, seed=3))
+        assert paths == {"step": 2 * traces[0].n_slots}
         assert traces[0] == traces[1]
         assert len({s[3] for s in traces[0].slots}) > 1
         if name == "line30-wide":  # some sampled column holds a content past bit 64
@@ -429,6 +455,53 @@ class TestRunInvariance:
     def test_default_seed_is_the_configs(self, line2_config):
         cfg = _cfg(line2_config, horizon=500.0, seed=7)
         assert gc.run(cfg) == gc.run(cfg, seed=7)
+
+
+def _block_config(name, line2_config):
+    cfg = _cfg(line2_config, horizon=3000.0)
+    if name == "annealed":
+        return _cfg(cfg, gibbs=GibbsParams(mode="annealed", beta0=1.0))
+    if name == "explore-learn":
+        return _cfg(cfg, eta=0.05, estimator=EstimatorConfig())
+    if name == "local":
+        return _cfg(cfg, eta=0.1, estimator=EstimatorConfig(scope="local"))
+    return cfg  # exact rates at fixed beta = 2
+
+
+class TestBlockPath:
+    """Slots run in blocks (``FastCore.block``) give the traces of one
+    ``FastCore.step`` per slot, whole, at any request block size."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 11])
+    @pytest.mark.parametrize("logs", [False, True])
+    @pytest.mark.parametrize("name", ["exact", "annealed", "explore-learn", "local"])
+    def test_run(self, name, logs, chunk, line2_config, monkeypatch, paths):
+        cfg = _cfg(_block_config(name, line2_config), record_events=logs, record_slots=logs)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        traces = []
+        for gate, path in ((math.inf, "block"), (0, "step")):
+            monkeypatch.setattr(engine, "BLOCK_CONTEXTS", gate)
+            paths.clear()
+            traces.append(gc.run(cfg, seed=3))
+            assert paths == {path: traces[-1].n_slots}
+        assert traces[0] == traces[1]
+        assert len({key for window in traces[0].v_counts for key in window}) == 4
+
+    @pytest.mark.parametrize("initial", [None, ((2,), (1,))])
+    @pytest.mark.parametrize("mode", ["fixed", "annealed"])
+    def test_run_chain(self, mode, initial, line2_topology, line2_catalog, monkeypatch, paths):
+        # Block edges at 1024 and 2048 slots; record_at on both sides of them.
+        params = GibbsParams(mode=mode, beta=2.0, beta0=1.0)
+        record_at = {1, 1023, 1024, 1025, 2048, 2500}
+        out = []
+        for gate, path in ((math.inf, "block"), (0, "step")):
+            monkeypatch.setattr(engine, "BLOCK_CONTEXTS", gate)
+            paths.clear()
+            out.append(gc.run_chain(line2_topology, line2_catalog, 1, params, 2500, seed=4,
+                                    record_at=record_at, initial=initial))
+            assert paths == {path: 2500}
+        assert out[0] == out[1]
+        assert set(out[0][0]) == record_at
 
 
 @pytest.fixture(scope="module")
