@@ -99,15 +99,18 @@ def slot_betas(beta_at, k0: int, k1: int, n_bs: int) -> np.ndarray:
 
 
 def _array_table(a: np.ndarray, k: int) -> list[np.ndarray]:
-    """Levels 1 to K of ``engine._suffix_table`` (level 0 is all zeros) of
-    the rows of ``a`` (its last axis) in K numpy calls, bit for bit: the
-    last axis of level r lists E(s, r) from s = m - r down to 0.
+    """Levels 1 to K of the suffix table of the rows of ``a`` (its last
+    axis) in K numpy calls: ``E(s, r) = log e_r(exp(a[s]), ...,
+    exp(a[m-1]))``, the log of the elementary symmetric polynomial of degree
+    r, kept in log space so that it stays finite at any beta.  The last axis
+    of level r lists E(s, r) from s = m - r down to 0; E(s, 0) = 0.
 
     Level r is the running ``np.logaddexp`` of the terms ``a[s] + E(s+1,
     r-1)`` from s = m - r down.  ``np.logaddexp(x, y)`` computes ``x +
-    log1p(exp(y - x))`` for x > y, and its mirror, as the Python table does,
-    with the same libm (numpy dispatches no SIMD loop for it), and ``x + ln
-    2`` on ties, as ``y + log1p(1.0)`` gives.  ``np.exp`` and ``np.log`` are
+    log1p(exp(y - x))`` for x > y, and its mirror, with libm's scalar
+    ``exp`` and ``log1p`` (numpy dispatches no SIMD loop for it), and ``x +
+    ln 2`` on ties, so every cell equals the Python-float table of
+    ``tests/reference_step.py`` bit for bit.  ``np.exp`` and ``np.log`` are
     not used: their SIMD loops round differently.
     """
     m = a.shape[-1]
@@ -158,10 +161,10 @@ def _walk(a: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
 
 
 def _gain_rows(held: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The gains of ``FastCore.gains``: the segments' rates ``w``, zeroed
-    where ``held``, added one at a time in segment order (axis -2).  A
-    running sum adds in order by definition; np.sum's order is unspecified
-    (pairwise along a contiguous axis)."""
+    """The gains of ``FastCore._array_gains``: the segments' rates ``w``,
+    zeroed where ``held``, added one at a time in segment order (axis -2).
+    A running sum adds in order by definition; np.sum's order is
+    unspecified (pairwise along a contiguous axis)."""
     return np.add.accumulate(np.where(held, 0.0, w), -2)[..., -1, :]
 
 
@@ -207,7 +210,6 @@ class Blocks:
                     self.segs[j, s] = q
                     held[j, x, s] = [any(bits[col[o]][i] for o in others) for i in range(m)]
         self.held = held
-        self.scales = np.array(core.est_scale) if core.estimator is not None else None
         # With exact rates each (station, context) has one gain row.
         self.gains = None if core.estimator is not None else _gain_rows(
             held, np.array(core.true_rates)[self.segs][:, None]
@@ -216,15 +218,15 @@ class Blocks:
         self.keys: dict[int, tuple] = {}
 
     def _learned_gains(self, core, stations, now, arrivals, fed) -> np.ndarray:
-        """``FastCore.gains`` of each slot's station in every context, from
-        the counts at the slot: the core's tables plus the arrivals it has
-        not recorded before ``fed[t]``."""
-        est, m = core.estimator, core.m
+        """``FastCore._array_gains`` of each slot's station in every context,
+        from the counts at the slot: the core's tables plus the arrivals it
+        has not recorded before ``fed[t]``, rated by ``FastCore.rate``."""
+        m = core.m
         segs = self.segs[stations]
         tables = stations if core.local else np.zeros_like(stations)
         need = ((tables[:, None] * len(core.segments) + segs) * m)[:, :, None] + np.arange(m)
-        n = np.array(core.est_counts, float).ravel()[need] + arrivals.count(need, fed[:, None, None])
-        w = (n * self.scales[segs][:, :, None] + est.c0) * (1.0 / (now + est.t0))[:, None, None]
+        n = core.est_counts.ravel()[need] + arrivals.count(need, fed[:, None, None])
+        w = core.rate(n, segs[:, :, None], now[:, None, None])
         return _gain_rows(self.held[stations], w[:, None])
 
     def run(self, core, stations, betas, uniforms, now=None, arrivals=None, fed=None):

@@ -129,12 +129,14 @@ def _build_topology(topo: dict, opened: list) -> CellTopology:
                              "a list of JSON objects")
             entries = [{**entry} for entry in entries]
             opened.extend((f"{path}.areas", entry) for entry in entries)
-            areas = {
-                frozenset(_field(entry, f"{path}.areas", "subset", None, _numbers,
-                                 "a list of station numbers")):
-                    _field(entry, f"{path}.areas", "area", None, *NUMBER)
-                for entry in entries
-            }
+            areas = {}
+            for entry in entries:
+                subset = frozenset(_field(entry, f"{path}.areas", "subset", None, _numbers,
+                                          "a list of station numbers"))
+                if subset in areas:
+                    raise ConfigError(f"{path}.areas", f"subset {sorted(subset)} is listed twice",
+                                      "give each subset of stations one entry")
+                areas[subset] = _field(entry, f"{path}.areas", "area", None, *NUMBER)
             return geometry.from_segments(n_bs, areas)
         centers = _field(spec, path, "centers", None, _pairs, "a list of [x, y] points")
         radii = _field(spec, path, "radii", None, _numbers, "a list of numbers")

@@ -1,19 +1,19 @@
 """Optimized single-site sampler core shared by chain runs and the coupled
 simulation.
 
-Keeps one content bitmask per station as its only placement state, which
-both evaluations below read.  The local energy is additive over a column's
-contents, so the Gibbs conditional over K-subsets is a product-weight
-design (conditional Poisson sampling), sampled exactly without enumerating
-candidates.  One update of station j computes the gains, O(|segments
-containing j| * M), a suffix table of M * K cells, and walks it in O(M), for
-any catalog size.  Two evaluations give the same bits.  Up to
-``ARRAY_STEP_MK`` (M * K) they are Python float operations, one per gain
-term and per cell; above it they are numpy calls, a few per update for the
-gains and K for the table, doing the same float operations in the same
-order.  Per update on 30 stations in a line at beta = 5: 19.7 µs in Python
-at M = 16, K = 3; 24.5 µs with arrays against 27.9 in Python at M = 30,
-K = 3; 1.1 ms against 3.4 ms at M = 1000, K = 10.
+Keeps one content bitmask per station as its only placement state.  The
+local energy is additive over a column's contents, so the Gibbs conditional
+over K-subsets is a product-weight design, conditional Poisson sampling
+(Chen, Dempster & Liu, "Weighted finite population sampling to maximize
+entropy", Biometrika 1994), sampled exactly without enumerating candidates.
+One update of station j computes the gains, a running sum of |segments
+containing j| rows of M rates, and a suffix table of M * K cells, each in a
+few numpy calls, then walks the table in O(M) Python steps, for any catalog
+size.  Per update on 30 stations in a line at beta = 2: about 20 µs at M =
+16, K = 3, 25 µs at M = 30, K = 3 and 0.8 ms at M = 1000, K = 10.  The same
+evaluation in Python floats, one operation per gain term and per cell, is
+the tests' reference (``tests/reference_step.py``); the two agree bit for
+bit.
 
 ``advance`` runs a run of slots from draws read ahead.  Where no station
 has more than ``BLOCK_CONTEXTS`` contexts (the columns of the stations it
@@ -39,14 +39,6 @@ from .model import ContentCatalog
 from .realcache import most_popular_columns
 
 
-# Above this M·K, ``FastCore.step`` evaluates the gains and the suffix table
-# with numpy.  Measured per step on 30 stations in a line (each in 2 or 3
-# segments), β = 5: the Python path is faster up to M·K = 48 (19.7 against
-# 22.2 µs at M = 16, K = 3), the two are about even at 60, and the arrays
-# are faster from 80 on (22.1 against 28.1 µs at M = 40, K = 2; 24.5
-# against 27.9 µs at M = 30, K = 3; 64 against 118 µs at M = 100, K = 5).
-ARRAY_STEP_MK = 60
-
 # ``FastCore.advance`` runs slots in blocks (``blocks.Blocks``) where no
 # station has more contexts than this, C(M, K) ** (its neighbours), and the
 # catalog has no more columns.  Measured per slot of ``run_chain`` at
@@ -62,48 +54,26 @@ BLOCK_CONTEXTS = 8
 
 def _bits(masks: Sequence[int], m: int) -> np.ndarray:
     """Boolean array of the low ``m`` bits of each mask: one row per mask,
-    bit i in column i."""
-    width = (m + 7) // 8
-    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in masks), np.uint8)
-    return np.unpackbits(
-        raw.reshape(len(masks), width), axis=1, count=m, bitorder="little"
-    ).view(bool)
+    bit i in column i.  The masks, none wider than ``m`` bits, are joined
+    into one integer, the first lowest, and unpacked in one call."""
+    joined = 0
+    for x in reversed(masks):
+        joined = joined << m | x
+    n = len(masks) * m
+    raw = np.frombuffer(joined.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool).reshape(len(masks), m)
 
 
-def _suffix_table(a: list[float], k: int) -> list[list[float]]:
-    """Levels ``E[r]``, r <= k, of ``E(s, r) = log e_r(exp(a[s]), ...,
-    exp(a[m-1]))``, the log of the elementary symmetric polynomial of degree
-    r, kept in log space so that it stays finite at any beta.  Level r lists
-    E(s, r) from s = m - r down to 0: ``E[r][m-r-s]``.
-
-    ``E(s, 0) = 0``, ``E(m-r, r) = a[m-r] + E(m-r+1, r-1)`` and, below,
-    ``E(s, r) = logaddexp(E(s+1, r), a[s] + E(s+1, r-1))``.
-    """
-    exp, log1p = math.exp, math.log1p
-    m = len(a)
-    prev = [0.0] * (m + 1)
-    table = [prev]
-    for r in range(1, k + 1):
-        x = a[m - r] + prev[0]
-        row = [x]
-        for s in range(m - r - 1, -1, -1):
-            y = a[s] + prev[m - r - s]
-            x = x + log1p(exp(y - x)) if x > y else y + log1p(exp(x - y))
-            row.append(x)
-        table.append(row)
-        prev = row
-    return table
-
-
-def _lex_sample(a: list[float], k: int, u: float, table: list[list[float]]) -> tuple[int, ...]:
+def _lex_sample(a: list[float], k: int, u: float, levels: list[list[float]]) -> tuple[int, ...]:
     """K-subset (1-based, sorted) of weight ``exp(sum of a over it)``, drawn
     by inverse CDF at ``u`` in lexicographic order.
 
-    ``table`` is the suffix table E of ``a`` (:func:`_suffix_table`, or
-    level 0 and the levels of :func:`_array_table`).  With r contents left to choose, the subsets that
-    take s come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) -
-    E(s, r))``, both at index m - r - s of their levels; the uniform is
-    rescaled into the chosen block.
+    ``levels`` are the suffix table of ``a`` from :func:`blocks._array_table`:
+    level r, ``levels[r - 1]``, lists E(s, r) from s = m - r down to 0, and
+    E(s, 0) = 0.  With r contents left to choose, the subsets that take s
+    come first, with conditional mass ``p = exp(a[s] + E(s+1, r-1) - E(s,
+    r))``, both at index m - r - s of their levels; the uniform is rescaled
+    into the chosen block.
     """
     exp = math.exp
     m = len(a)
@@ -113,7 +83,8 @@ def _lex_sample(a: list[float], k: int, u: float, table: list[list[float]]) -> t
         # The last r contents are forced.  Rescaling can round u up to 1, so a
         # p of 1, forced or rounded, is taken whatever u is.
         t = m - r - s
-        p = 1.0 if t == 0 else exp(a[s] + table[r - 1][t] - table[r][t])
+        below = levels[r - 2][t] if r > 1 else 0.0  # E(s+1, r-1)
+        p = 1.0 if t == 0 else exp(a[s] + below - levels[r - 1][t])
         if u < p or p == 1.0:
             chosen.append(s + 1)
             r -= 1
@@ -129,8 +100,9 @@ class FastCore:
     """Incremental state of the virtual-cache Gibbs chain.
 
     Per-(content, segment) arrival rates are exact (lambda_i * area) when
-    ``estimator`` is None, else ``(count * scale + c0) / (now + t0)`` over the
-    arrivals counted by :meth:`record_arrivals`: one table shared network-wide, or
+    ``estimator`` is None, else ``(count * scale + c0) / (now + t0)``
+    (:meth:`rate`) over the arrivals counted by :meth:`record_arrivals`, in
+    ``est_counts`` (table, segment, content): one table shared network-wide, or
     one per station under ``local`` scope, fed by the requests it served by
     exploration and scaled by |s| / eta to stay unbiased.
     """
@@ -162,20 +134,15 @@ class FastCore:
         self.local = estimator is not None and estimator.scope == "local"
         if self.local and eta <= 0:
             raise ValueError("local estimator scope requires eta > 0")
-        if estimator is not None:  # the tables record_arrivals and theta use
-            self.est_counts = [
-                [[0] * self.m for _ in self.segments]
-                for _ in range(self.n_bs if self.local else 1)
-            ]
-            self.est_scale = [len(s) / eta if self.local else 1.0 for s, _ in self.segments]
-        # Above ARRAY_STEP_MK the gains are arrays, and each station has a
-        # plan: its segments and their exact rates.
-        self.arrays = self.m * self.k > ARRAY_STEP_MK
-        if self.arrays:
-            self._plans = []
-            for nb in self.neighbours:
-                segs = np.array([q for q, _ in nb], np.intp)
-                self._plans.append((segs, rates[segs]))
+        if estimator is not None:  # the tables record_arrivals and rate use
+            tables = self.n_bs if self.local else 1
+            self.est_counts = np.zeros((tables, len(self.segments), self.m), np.int64)
+            self.est_scale = np.array([len(s) / eta if self.local else 1.0 for s in self.seg_bs])
+        # Each station's plan: its segments and their exact rates.
+        self._plans = []
+        for nb in self.neighbours:
+            segs = np.array([q for q, _ in nb], np.intp)
+            self._plans.append((segs, rates[segs]))
         # Below BLOCK_CONTEXTS, slots run in blocks, planned on first use.
         cols = math.comb(self.m, self.k)
         self.blocks = cols <= BLOCK_CONTEXTS and all(
@@ -226,58 +193,30 @@ class FastCore:
 
     def record_arrivals(self, arrivals: Arrivals, stop: int) -> None:
         """Count the requests of ``arrivals`` up to position ``stop``."""
-        n_seg, m = len(self.segments), self.m
-        counts = arrivals.count(np.arange(len(self.est_counts) * n_seg * m), stop)
-        for cell in np.flatnonzero(counts).tolist():
-            table, qi = divmod(cell, n_seg * m)
-            self.est_counts[table][qi // m][qi % m] += int(counts[cell])
+        counts = self.est_counts
+        counts += arrivals.count(np.arange(counts.size), stop).reshape(counts.shape)
         arrivals.recorded = stop
+
+    def rate(self, counts, q, now):
+        """Estimated rate ``(count * scale + c0) / (now + t0)`` of ``counts``
+        arrivals in segment ``q`` at ``now``, as ``(count * scale + c0) * (1 /
+        (now + t0))``; arrays broadcast, one operation per cell."""
+        est = self.estimator
+        return (counts * self.est_scale[q] + est.c0) * (1.0 / (now + est.t0))
 
     def theta(self, q: int, i0: int, now: float, table: int = 0) -> float:
         """Estimated rate of content ``i0`` (0-based) in segment ``q`` at ``now``."""
-        est = self.estimator
-        inv = 1.0 / (now + est.t0)
-        return (self.est_counts[table][q][i0] * self.est_scale[q] + est.c0) * inv
+        return float(self.rate(self.est_counts[table, q, i0], q, now))
 
     # -- Gibbs update ------------------------------------------------------
 
-    def gains(self, j0: int, now: float = 0.0) -> list[float]:
+    def _array_gains(self, j0: int, now: float = 0.0) -> np.ndarray:
         """Rate ``g[i]`` that content ``i`` (0-based) adds to the local energy
         of station ``j0`` (0-based): the sum of its rates over the segments
-        of ``j0`` where no other station stores it.  The local energy of
-        column c is ``sum(g[i - 1] for i in c)`` plus a part that does not
-        depend on c.
-        """
-        m = self.m
-        masks = self.masks
-        g = [0.0] * m
-        est = self.estimator
-        if est is not None:
-            table = self.est_counts[j0 if self.local else 0]
-            inv = 1.0 / (now + est.t0)
-            c0 = est.c0
-        for q, others in self.neighbours[j0]:
-            held = 0  # what the other stations of segment q store
-            for j in others:
-                held |= masks[j]
-            if est is None:
-                w = self.true_rates[q]
-                for i in range(m):
-                    if not held >> i & 1:
-                        g[i] += w[i]
-            else:
-                n = table[q]
-                scale = self.est_scale[q]
-                for i in range(m):
-                    if not held >> i & 1:
-                        g[i] += (n[i] * scale + c0) * inv
-        return g
-
-    def _array_gains(self, j0: int, now: float = 0.0) -> np.ndarray:
-        """:meth:`gains` as an array, bit for bit: the rows of the segments'
-        rates, zeroed where another station holds the content, added one at
-        a time in segment order (x + 0.0 == x for the sums x >= 0 that
-        :meth:`gains` leaves where it skips a content)."""
+        of ``j0`` where no other station stores it, added one at a time in
+        segment order (``blocks._gain_rows``).  The local energy of column c
+        is ``sum(g[i - 1] for i in c)`` plus a part that does not depend on
+        c."""
         segs, w = self._plans[j0]
         if not len(segs):  # a station that covers no area
             return np.zeros(self.m)
@@ -288,11 +227,9 @@ class FastCore:
             for j in others:
                 held |= masks[j]
             unions.append(held)
-        est = self.estimator
-        if est is not None:
-            table = self.est_counts[j0 if self.local else 0]
-            n = np.array([table[q] for q in segs], float)
-            w = (n * np.take(self.est_scale, segs)[:, None] + est.c0) * (1.0 / (now + est.t0))
+        if self.estimator is not None:
+            counts = self.est_counts[j0 if self.local else 0].take(segs, 0)
+            w = self.rate(counts, segs[:, None], now)
         return _gain_rows(_bits(unions, self.m), w)
 
     def step(self, j0: int, beta: float, u: float, now: float = 0.0) -> tuple[int, ...]:
@@ -301,13 +238,9 @@ class FastCore:
         """
         if not 0 <= beta < math.inf:  # checked inline: a step runs every slot
             check_beta(beta)
-        if self.arrays:
-            a = beta * self._array_gains(j0, now)
-            table = [[0.0] * (self.m + 1)] + [level.tolist() for level in _array_table(a, self.k)]
-            new = _lex_sample(a.tolist(), self.k, u, table)
-        else:
-            a = [beta * x for x in self.gains(j0, now)]
-            new = _lex_sample(a, self.k, u, _suffix_table(a, self.k))
+        a = beta * self._array_gains(j0, now)
+        levels = [level.tolist() for level in _array_table(a, self.k)]
+        new = _lex_sample(a.tolist(), self.k, u, levels)
         key = self._key
         if new != key[j0]:
             # Configuration keys that callers keep share one tuple per column.

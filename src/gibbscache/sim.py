@@ -496,7 +496,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     tables = [bs[0] - 1 if core.local else 0 for bs in seg_bs]
     estimator = [
         EstimatorSnapshot(
-            i0 + 1, seg_keys[q], core.est_counts[tables[q]][q][i0],
+            i0 + 1, seg_keys[q], int(core.est_counts[tables[q], q, i0]),
             core.theta(q, i0, horizon, tables[q]), core.true_rates[q][i0],
         )
         for q in range(n_seg)

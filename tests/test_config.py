@@ -51,6 +51,21 @@ class TestBuildConfig:
         cfg = gc.build_config(data)
         assert cfg.topology.total_area == pytest.approx(10.0)
 
+    def test_segments_subset_listed_twice(self):
+        # Two areas for one subset, in any order, would keep only the last.
+        data = base_data(
+            topology={
+                "segments": {
+                    "n_bs": 2,
+                    "areas": [{"subset": [1, 2], "area": 1.0}, {"subset": [2, 1], "area": 2.0}],
+                }
+            }
+        )
+        with pytest.raises(ConfigError) as exc:
+            gc.build_config(data)
+        assert exc.value.field == "topology.segments.areas"
+        assert "[1, 2]" in exc.value.problem
+
     def test_exactly_one_topology_mode(self):
         data = base_data()
         data["topology"]["segments"] = {"n_bs": 1, "areas": []}

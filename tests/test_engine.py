@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gibbscache as gc
-from gibbscache import engine
+import reference_step
+from gibbscache.blocks import _array_table
 from gibbscache.config import EstimatorConfig
-from gibbscache.engine import FastCore, _array_table, _lex_sample, _suffix_table
+from gibbscache.engine import FastCore, _lex_sample
 from gibbscache.gibbs import state_masks
 from gibbscache.traffic import RateEstimates, estimated_local_energy
 from conftest import random_instance
@@ -60,7 +61,7 @@ class TestExactAgreement:
             for j0 in range(top.n_bs):
                 _assert_energy_is_gain_plus_constant(
                     lambda c: gc.local_energy(top, cat, B.with_column(j0 + 1, c), j0 + 1),
-                    core.gains(j0), cat.m_contents, k,
+                    core._array_gains(j0), cat.m_contents, k,
                 )
 
     def test_cond_probs_match_reference(self):
@@ -73,7 +74,7 @@ class TestExactAgreement:
             B = gc.Placement.from_columns(cat.m_contents, key, k)
             beta = rng.uniform(0, 20)
             for j0 in range(top.n_bs):
-                g = core.gains(j0)
+                g = core._array_gains(j0)
                 cands, ref = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
                 exponents = [beta * _column_gain(g, c) for c in cands]
                 weights = [math.exp(x - max(exponents)) for x in exponents]
@@ -112,15 +113,14 @@ class TestExactAgreement:
                 cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
                 assert core.step(j0, beta, u) == _inverse_cdf(cands, probs, u)
 
-    @pytest.mark.parametrize("switch", [0, math.inf])
-    def test_step_at_the_largest_uniform(self, switch, monkeypatch):
+    def test_step_at_the_largest_uniform(self):
         # At u = 1 - 2**-53, which random() can return, rescaling rounds u up
         # to 1 on six equal weights; the last column is drawn, as the
         # inverse CDF's limit at 1, where dividing by 1 - p once failed.
-        monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
         core = FastCore(gc.from_intervals([(0, 6), (1, 10)]), gc.ContentCatalog((0.1,) * 6), 1)
         assert core.step(0, 0.0, 1 - 2**-53) == (6,)
-        assert _lex_sample([0.0] * 10, 3, 1 - 2**-53, _suffix_table([0.0] * 10, 3)) == (8, 9, 10)
+        levels = reference_step.suffix_table([0.0] * 10, 3)
+        assert _lex_sample([0.0] * 10, 3, 1 - 2**-53, levels) == (8, 9, 10)
 
     def test_masks_stay_consistent(self):
         rng = random.Random(54)
@@ -165,26 +165,20 @@ def _instance_with_eight_segments(rng):
 
 
 class TestArrayStep:
-    """Above ARRAY_STEP_MK, ``step`` computes the gains and the suffix table
-    with numpy; both must equal the Python evaluation bit for bit."""
-
-    def test_switch_point(self):
-        # line2 (M·K = 2) and hex7 (M = 8, K = 2) stay on the Python path;
-        # line30 (M = 30, K = 3) takes the arrays.
-        assert 16 <= engine.ARRAY_STEP_MK < 90
+    """``step`` computes the gains and the suffix table with numpy; both must
+    equal the Python evaluation of ``reference_step`` bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(_weights())
     def test_array_table_equals_python_table(self, case):
         a, k, u = case
-        table = _suffix_table(a, k)
-        arrays = [[0.0] * (len(a) + 1), *(level.tolist() for level in _array_table(np.array(a), k))]
+        table = reference_step.suffix_table(a, k)
+        arrays = [level.tolist() for level in _array_table(np.array(a), k)]
         assert [[x.hex() for x in row] for row in arrays] == [[x.hex() for x in row] for row in table]
         assert _lex_sample(a, k, u, arrays) == _lex_sample(a, k, u, table)
 
     @pytest.mark.parametrize("scope", [None, "shared", "local"])
-    def test_array_gains_equal_gains(self, scope, monkeypatch):
-        monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)
+    def test_array_gains_equal_gains(self, scope):
         est = None if scope is None else EstimatorConfig(scope=scope, c0=0.3, t0=2.0)
         rng = random.Random(59)
         most_segments = widest = 0
@@ -198,7 +192,6 @@ class TestArrayStep:
             else:
                 top, cat, k = _instance_with_eight_segments(rng)
             core = FastCore(top, cat, k, est, eta=0.2)
-            assert core.arrays
             if trial >= 40:  # columns drawn without listing every candidate
                 core.set_columns([rng.sample(range(1, m + 1), k) for _ in range(top.n_bs)])
             else:
@@ -211,17 +204,55 @@ class TestArrayStep:
                         _record(core, q, rng.randrange(core.m), rng.choice(core.seg_bs[q]) - 1, True)
                 j0 = rng.randrange(top.n_bs)
                 now = rng.uniform(0, 50)
-                assert core._array_gains(j0, now).tolist() == core.gains(j0, now)
+                assert core._array_gains(j0, now).tolist() == reference_step.gains(core, j0, now)
                 core.step(j0, rng.uniform(0, 10), rng.random(), now)
                 widest = max(widest, *core.masks)
         assert most_segments >= 8
         assert widest.bit_length() > 64
 
-    def test_station_without_segments(self, monkeypatch):
-        monkeypatch.setattr(engine, "ARRAY_STEP_MK", 0)
+    @pytest.mark.parametrize("scope", ["shared", "local"])
+    @pytest.mark.parametrize("m, k", [(8, 2), (30, 3)])
+    def test_learned_rates_equal_reference(self, m, k, scope):
+        # At hex7's M·K = 16 and line30's 90: after random arrivals, the
+        # count array, theta and the step's gains and column equal the
+        # reference's, bit for bit.
+        rng = random.Random(60)
+        top = gc.from_intervals([(3 * j, 3 * j + 5) for j in range(6)])
+        cat = gc.ContentCatalog(tuple(0.1 / i for i in range(1, m + 1)))
+        est = EstimatorConfig(scope=scope, c0=0.3, t0=2.0)
+        core = FastCore(top, cat, k, est, eta=0.2)
+        local = scope == "local"
+        expect = [[[0] * m for _ in core.seg_bs] for _ in range(top.n_bs if local else 1)]
+        for _ in range(5):
+            batch = []
+            for _ in range(rng.randrange(1, 200)):
+                q = rng.randrange(len(core.seg_bs))
+                batch.append((q, rng.randrange(m), rng.choice(core.seg_bs[q]) - 1, rng.random() < 0.5))
+            for q, i0, bs0, explored in batch:
+                if not local or explored:
+                    expect[bs0 if local else 0][q][i0] += 1
+            core.record_arrivals(core.arrivals(*map(np.array, zip(*batch))), len(batch))
+            assert core.est_counts.tolist() == expect
+            now = rng.uniform(0, 50)
+            inv = 1.0 / (now + est.t0)
+            for t, table in enumerate(expect):
+                for q, row in enumerate(table):
+                    scale = len(core.seg_bs[q]) / 0.2 if local else 1.0
+                    thetas = [core.theta(q, i0, now, t) for i0 in range(m)]
+                    assert thetas == [(n * scale + est.c0) * inv for n in row]
+            core.set_columns([rng.sample(range(1, m + 1), k) for _ in range(top.n_bs)])
+            for j0 in range(top.n_bs):
+                g = reference_step.gains(core, j0, now)
+                assert core._array_gains(j0, now).tolist() == g
+                beta, u = rng.uniform(0, 10), rng.random()
+                a = [beta * x for x in g]
+                column = _lex_sample(a, k, u, reference_step.suffix_table(a, k))
+                assert core.step(j0, beta, u, now) == column
+
+    def test_station_without_segments(self):
         top = gc.from_segments(2, {frozenset({1}): 1.0})
         core = FastCore(top, gc.ContentCatalog((0.3, 0.2, 0.1)), 2)
-        assert core._array_gains(1).tolist() == core.gains(1) == [0.0, 0.0, 0.0]
+        assert core._array_gains(1).tolist() == reference_step.gains(core, 1) == [0.0, 0.0, 0.0]
         assert core.step(1, 5.0, 0.99) == (2, 3)
 
     def test_logaddexp_has_no_dispatched_loop(self):
@@ -270,7 +301,7 @@ class TestEstimateMode:
                     lambda c: estimated_local_energy(
                         line2_topology, ref, B.with_column(j0 + 1, c), j0 + 1
                     ),
-                    core.gains(j0, now=tau), 2, 1,
+                    core._array_gains(j0, now=tau), 2, 1,
                 )
 
     def test_local_scope_scaling(self, line2_topology, line2_catalog):
@@ -302,7 +333,7 @@ class TestEstimateMode:
                 return core.theta(q_of[s], i, now, table=j0)
 
             alone = (j0 + 1,)
-            g = core.gains(j0, now)
+            g = core._array_gains(j0, now).tolist()
             # The other station's content gains nothing in the shared segment.
             # The sampler's rates are the reported ones, bit for bit.
             assert g[own] == theta(alone, own) + theta((1, 2), own)

@@ -16,6 +16,7 @@ from gibbscache.realcache import most_popular_columns
 from gibbscache import engine, sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
 from exact_chain import ExactChain
+import reference_step
 
 PI_BETA2 = {
     ((1,), (1,)): 0.208171874738,
@@ -420,10 +421,10 @@ class TestRunInvariance:
          "line30-wide"],
     )
     def test_array_step_leaves_trace_unchanged(self, name, line2_config, monkeypatch, paths):
-        # FastCore.step evaluates the same law with numpy above
-        # ARRAY_STEP_MK: switching every run to it, or none, moves no bit.
-        # line30-wide's masks are 100 bits wide.  line2 would run in blocks,
-        # so every run here is held on the step path.
+        # FastCore.step evaluates the law with numpy; the reference step, in
+        # Python floats, moves no bit.  line30-wide's masks are 100 bits
+        # wide.  line2 would run in blocks, so every run here is held on the
+        # step path.
         monkeypatch.setattr(engine, "BLOCK_CONTEXTS", 0)
         if name == "line2-local":
             cfg = _cfg(_replay_config("line2", line2_config), eta=0.1,
@@ -442,11 +443,15 @@ class TestRunInvariance:
             )
         else:
             cfg = _replay_config(name, line2_config)
-        traces = []
-        for switch in (0, math.inf):
-            monkeypatch.setattr(engine, "ARRAY_STEP_MK", switch)
-            traces.append(gc.run(cfg, seed=3))
-        assert paths == {"step": 2 * traces[0].n_slots}
+        traces = [gc.run(cfg, seed=3)]
+
+        def reference(core, *args):
+            paths["reference"] += 1
+            return reference_step.step(core, *args)
+
+        monkeypatch.setattr(engine.FastCore, "step", reference)
+        traces.append(gc.run(cfg, seed=3))
+        assert paths == {"step": traces[0].n_slots, "reference": traces[0].n_slots}
         assert traces[0] == traces[1]
         assert len({s[3] for s in traces[0].slots}) > 1
         if name == "line30-wide":  # some sampled column holds a content past bit 64
