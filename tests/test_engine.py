@@ -113,13 +113,19 @@ class TestExactAgreement:
                 cands, probs = gc.conditional_distribution(top, cat, B, j0 + 1, beta)
                 assert core.step(j0, beta, u) == _inverse_cdf(cands, probs, u)
 
-    def test_step_at_the_largest_uniform(self):
+    @pytest.mark.parametrize("switch", [0, math.inf])
+    def test_step_at_the_largest_uniform(self, switch):
         # At u = 1 - 2**-53, which random() can return, rescaling rounds u up
         # to 1 on six equal weights; the last column is drawn, as the
         # inverse CDF's limit at 1, where dividing by 1 - p once failed.
+        # Case 0 runs the array step, case inf the Python reference step.
         core = FastCore(gc.from_intervals([(0, 6), (1, 10)]), gc.ContentCatalog((0.1,) * 6), 1)
-        assert core.step(0, 0.0, 1 - 2**-53) == (6,)
-        levels = reference_step.suffix_table([0.0] * 10, 3)
+        if switch == 0:
+            assert core.step(0, 0.0, 1 - 2**-53) == (6,)
+            levels = [level.tolist() for level in _array_table(np.zeros(10), 3)]
+        else:
+            assert reference_step.step(core, 0, 0.0, 1 - 2**-53) == (6,)
+            levels = reference_step.suffix_table([0.0] * 10, 3)
         assert _lex_sample([0.0] * 10, 3, 1 - 2**-53, levels) == (8, 9, 10)
 
     def test_masks_stay_consistent(self):
