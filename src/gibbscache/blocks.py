@@ -75,7 +75,7 @@ class Arrivals:
     ``cells``, the table cell that counts each (``FastCore.arrivals``, -1
     where none does), and ``recorded``, how many of them the core's
     tables hold.  ``order`` lists cell * (n + 1) + position, sorted, so the
-    arrivals of a cell in a range of positions are counted by two searches.
+    arrivals of a cell before a position are counted by one search.
     """
 
     def __init__(self, cells: np.ndarray):
@@ -83,19 +83,17 @@ class Arrivals:
         self.width = len(cells) + 1
         self.order = np.sort(cells * self.width + np.arange(len(cells)))
 
-    def count(self, cells: np.ndarray, stop) -> np.ndarray:
-        """Arrivals from ``recorded`` up to ``stop`` (broadcast against
-        ``cells``) in each of ``cells``."""
-        lo = cells * self.width
-        return np.searchsorted(self.order, lo + stop) - np.searchsorted(self.order, lo + self.recorded)
+    def before(self, cells: np.ndarray, stop) -> np.ndarray:
+        """Arrivals before position ``stop`` (broadcast against ``cells``) in
+        each of ``cells``."""
+        return np.searchsorted(self.order, cells * self.width + stop)
 
 
-def slot_betas(beta_at, k0: int, k1: int, n_bs: int) -> np.ndarray:
-    """Beta of slots k0 .. k1 - 1, from ``beta_at`` once per N-slot period
-    (the schedules hold beta within a period)."""
-    start = k0 // n_bs * n_bs
-    per_period = [beta_at(t, n_bs) for t in range(start, k1, n_bs)]
-    return np.repeat(np.array(per_period, float), n_bs)[k0 - start : k1 - start]
+def slot_betas(params, k0: int, k1: int, n_bs: int) -> np.ndarray:
+    """Beta of slots k0 .. k1 - 1 under ``params`` (a ``GibbsParams``),
+    one per N-slot period (the schedules hold beta within a period)."""
+    p0 = k0 // n_bs
+    return np.repeat(params.period_betas(p0, -(-k1 // n_bs)), n_bs)[k0 - p0 * n_bs : k1 - p0 * n_bs]
 
 
 def _array_table(a: np.ndarray, k: int) -> list[np.ndarray]:
@@ -123,16 +121,34 @@ def _array_table(a: np.ndarray, k: int) -> list[np.ndarray]:
     return table
 
 
-def _walk(a: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
-    """``engine._lex_sample`` of every row of ``a`` at the row's uniform in
-    ``u``, as the lexicographic rank of the subset among the K-subsets of
-    range(M) (that of ``itertools.combinations``).  Rows walk together; per
-    content s, the rows with r contents left read p = exp(a[s] + E(s+1,
-    r-1) - E(s, r)) at index m - r - s of the levels, ``exp`` mapped from
-    ``math``, unless that index is 0 and the contents left are forced.  The
-    uniforms are rescaled by the operations ``_lex_sample`` applies."""
-    rows, m = a.shape
-    levels = _array_table(a, k)
+def _column_table(at: np.ndarray, k: int) -> list[np.ndarray]:
+    """:func:`_array_table` of the columns of ``at`` (content s in row s),
+    its rows listing E(s, r) from s = m - r down: the same ``np.logaddexp``
+    of each running value and term, on whole rows, M * K calls.  (A running
+    sum along short rows calls its inner loop once per row.)"""
+    m, rows = at.shape
+    table = []
+    for r in range(1, k + 1):
+        level = np.empty((m - r + 1, rows))
+        below = table[-1] if table else np.zeros((m + 1, 1))  # E(s+1, r-1)
+        level[0] = at[m - r] + below[0]
+        for t in range(1, m - r + 1):  # E(s, r) for s = m - r - t
+            np.logaddexp(level[t - 1], at[m - r - t] + below[t], out=level[t])
+        table.append(level)
+    return table
+
+
+def _walk(at: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
+    """``engine._lex_sample`` of every column of ``at`` (content s in row s)
+    at the column's uniform in ``u``, as the lexicographic rank of the subset
+    among the K-subsets of range(M) (that of ``itertools.combinations``).
+    Columns walk together; per content s, those with r contents left read p
+    = exp(a[s] + E(s+1, r-1) - E(s, r)) at index m - r - s of the levels,
+    ``exp`` mapped from ``math``, unless that index is 0 and the contents
+    left are forced, and rescale their uniforms as ``_lex_sample`` does.
+    The walk ends once every column is done or has the rest forced."""
+    m, rows = at.shape
+    levels = _column_table(at, k)
     # binom[n, r] = C(n, r): the subsets a skipped content passes over.
     binom = np.array([[math.comb(n, r) for r in range(k + 1)] for n in range(m)])
     left = np.full(rows, k)  # contents still to choose
@@ -140,32 +156,36 @@ def _walk(a: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
     u = u.copy()
     exp = math.exp
     for s in range(m):
+        if (left == left[0]).all():  # none done or forced: see the stop below
+            groups = [(int(left[0]), slice(None))]
+        else:
+            groups = [(r, np.flatnonzero(left == r)) for r in range(1, min(k, m - s - 1) + 1)]
         p = np.ones(rows)
-        for r in range(1, min(k, m - s - 1) + 1):
-            idx = np.flatnonzero(left == r)
-            if len(idx):
-                t = m - r - s
-                below = levels[r - 2][idx, t] if r > 1 else 0.0  # E(s+1, r-1)
-                x = a[idx, s] + below - levels[r - 1][idx, t]
-                p[idx] = np.fromiter(map(exp, memoryview(x)), float, len(idx))
+        for r, idx in groups:
+            t = m - r - s
+            x = at[s, idx] + (levels[r - 2][t, idx] if r > 1 else 0.0)  # + E(s+1, r-1)
+            x -= levels[r - 1][t, idx]
+            p[idx] = np.fromiter(map(exp, memoryview(x)), float, len(x))
         live = left > 0
         take = live & ((u < p) | (p == 1.0))
         skip = live & ~take
         np.add(rank, binom[m - 1 - s][left - 1], out=rank, where=skip)
+        left -= take
+        # Done, or every content left forced, at s + 1 in every column.
+        if not (left * (m - s - 1 - left)).any():
+            break
         np.divide(u, p, out=u, where=take)
         np.divide(u - p, 1.0 - p, out=u, where=skip)
-        left -= take
-        if not left.any():
-            break
     return rank
 
 
-def _gain_rows(held: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The gains of ``FastCore._array_gains``: the segments' rates ``w``,
-    zeroed where ``held``, added one at a time in segment order (axis -2).
-    A running sum adds in order by definition; np.sum's order is
-    unspecified (pairwise along a contiguous axis)."""
-    return np.add.accumulate(np.where(held, 0.0, w), -2)[..., -1, :]
+def _fold(held: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``engine._gain_rows`` of the segments' rates ``w[s]`` and ``held[s]``,
+    the same terms added in segment order by ``+=``, not a running sum."""
+    g = np.where(held[0], 0.0, w[0])
+    for s in range(1, len(held)):
+        g += np.where(held[s], 0.0, w[s])
+    return g
 
 
 def _padded(x: np.ndarray, size: int, fill) -> np.ndarray:
@@ -181,11 +201,11 @@ class Blocks:
     are the other stations of its segments; context x lists their columns as
     the digits of x in base C(M, K), the lowest-numbered neighbour lowest
     (``near_w[j]`` pairs each neighbour with its digit's weight).  Each
-    station has ``n_ctx`` rows per slot, its contexts repeated when it has
-    fewer, so every block has the same shape per slot.
-    ``held[j, x, s]`` marks the contents that the other stations of the s-th
-    segment of j hold in context x (every content, past j's segments), and
-    ``segs[j, s]`` is that segment.
+    station has ``n_ctx`` contexts per slot, repeated when it has fewer, so
+    every block has the same shape per slot.  Arrays list stations, and
+    then slots, last: ``held[s, i, x, j]`` marks content i if the other
+    stations of the s-th segment of j hold it in context x (every content,
+    past j's segments), and ``segs[s, j]`` is that segment.
     """
 
     def __init__(self, core):
@@ -199,35 +219,35 @@ class Blocks:
         self.near_w = [[(o, c**i) for i, o in enumerate(stations)] for stations in near]
         self.n_ctx = max(c ** len(stations) for stations in near)
         width = max(1, *map(len, core.neighbours))
-        held = np.ones((core.n_bs, self.n_ctx, width, m), bool)
-        self.segs = np.zeros((core.n_bs, width), np.intp)
+        held = np.ones((width, m, self.n_ctx, core.n_bs), bool)
+        self.segs = np.zeros((width, core.n_bs), np.intp)
         bits = [[mask >> i & 1 for i in range(m)] for mask in masks]
         for j, nb in enumerate(core.neighbours):
             own = c ** len(near[j])
             for x in range(self.n_ctx):
                 col = {o: x % own // w % c for o, w in self.near_w[j]}
                 for s, (q, others) in enumerate(nb):
-                    self.segs[j, s] = q
-                    held[j, x, s] = [any(bits[col[o]][i] for o in others) for i in range(m)]
+                    self.segs[s, j] = q
+                    held[s, :, x, j] = [any(bits[col[o]][i] for o in others) for i in range(m)]
         self.held = held
-        # With exact rates each (station, context) has one gain row.
-        self.gains = None if core.estimator is not None else _gain_rows(
-            held, np.array(core.true_rates)[self.segs][:, None]
-        )
+        if core.estimator is None:  # each (station, context) has one gain row
+            self.gains = _fold(held, np.array(core.true_rates)[self.segs].transpose(0, 2, 1)[:, :, None])
+        else:  # the table cells of each station's gains
+            rows = np.arange(core.n_bs) * core.local * len(core.segments) + self.segs
+            self.need = rows[:, None] * m + np.arange(m)[:, None]
         self.cpow = [c**j for j in range(core.n_bs)]  # a state is sum(rank[j] * c**j)
         self.keys: dict[int, tuple] = {}
 
     def _learned_gains(self, core, stations, now, arrivals, fed) -> np.ndarray:
         """``FastCore._array_gains`` of each slot's station in every context,
-        from the counts at the slot: the core's tables plus the arrivals it
-        has not recorded before ``fed[t]``, rated by ``FastCore.rate``."""
-        m = core.m
-        segs = self.segs[stations]
-        tables = stations if core.local else np.zeros_like(stations)
-        need = ((tables[:, None] * len(core.segments) + segs) * m)[:, :, None] + np.arange(m)
-        n = core.est_counts.ravel()[need] + arrivals.count(need, fed[:, None, None])
-        w = core.rate(n, segs[:, :, None], now[:, None, None])
-        return _gain_rows(self.held[stations], w[:, None])
+        from the counts at the slot, the core's tables plus the arrivals it has
+        not recorded before ``fed[t]`` (one search each), by ``FastCore.rate``."""
+        cells = core.est_counts.ravel()
+        base = cells - arrivals.before(np.arange(len(cells)), arrivals.recorded)
+        need = np.take(self.need, stations, -1)
+        n = base[need] + arrivals.before(need, fed)
+        w = core.rate(n, np.take(self.segs, stations, -1)[:, None], now)
+        return _fold(np.take(self.held, stations, -1), w[:, :, None])
 
     def run(self, core, stations, betas, uniforms, now=None, arrivals=None, fed=None):
         """Evaluate and resolve one block of slots from the core's state;
@@ -243,23 +263,24 @@ class Blocks:
             if arrivals is not None:
                 now, fed = _padded(now, size, now[-1]), _padded(fed, size, fed[-1])
         if arrivals is None:
-            g = self.gains[stations]
+            g = np.take(self.gains, stations, -1)
         else:
             g = self._learned_gains(core, stations, now, arrivals, fed)
-        a = (betas[:, None, None] * g).reshape(-1, core.m)
-        out = _walk(a, core.k, np.repeat(uniforms, x_n)).tolist()
+        # Content i of slot t in context x at row i, column x * size + t.
+        at = (g * betas).reshape(core.m, -1)
+        out = _walk(at, core.k, np.tile(uniforms, x_n)).tolist()
 
-        near_w, cpow = self.near_w, self.cpow
+        near_w, cpow = [[(o, w * size) for o, w in nw] for nw in self.near_w], self.cpow
         ranks = [self.rank[col] for col in core.columns()]
         state = sum(map(int.__mul__, ranks, cpow))
         states = []
-        for row, j in enumerate(stations[:n_slots].tolist()):
-            x = row * x_n  # the row of the slot's first context
+        for x, j in enumerate(stations[:n_slots].tolist()):
             for o, w in near_w[j]:
                 x += ranks[o] * w
             b = out[x]
-            state += (b - ranks[j]) * cpow[j]
-            ranks[j] = b
+            if b != ranks[j]:
+                state += (b - ranks[j]) * cpow[j]
+                ranks[j] = b
             states.append(state)
         keys, cols, c = self.keys, self.columns, self.c
         for s in set(states).difference(keys):

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import Arrivals, Blocks, _array_table, _gain_rows
+from .blocks import Arrivals, Blocks, _array_table
 from .config import EstimatorConfig
 from .geometry import CellTopology
 from .gibbs import check_beta
@@ -62,6 +62,12 @@ def _bits(masks: Sequence[int], m: int) -> np.ndarray:
     n = len(masks) * m
     raw = np.frombuffer(joined.to_bytes((n + 7) // 8, "little"), np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little").view(bool).reshape(len(masks), m)
+
+
+def _gain_rows(held: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The segments' rates ``w``, zeroed where ``held``, added in segment
+    order (axis -2) by a running sum; np.sum's order is unspecified."""
+    return np.add.accumulate(np.where(held, 0.0, w), -2)[..., -1, :]
 
 
 def _lex_sample(a: list[float], k: int, u: float, levels: list[list[float]]) -> tuple[int, ...]:
@@ -193,8 +199,8 @@ class FastCore:
 
     def record_arrivals(self, arrivals: Arrivals, stop: int) -> None:
         """Count the requests of ``arrivals`` up to position ``stop``."""
-        counts = self.est_counts
-        counts += arrivals.count(np.arange(counts.size), stop).reshape(counts.shape)
+        cells = np.arange(self.est_counts.size).reshape(self.est_counts.shape)
+        self.est_counts += arrivals.before(cells, stop) - arrivals.before(cells, arrivals.recorded)
         arrivals.recorded = stop
 
     def rate(self, counts, q, now):
@@ -214,7 +220,7 @@ class FastCore:
         """Rate ``g[i]`` that content ``i`` (0-based) adds to the local energy
         of station ``j0`` (0-based): the sum of its rates over the segments
         of ``j0`` where no other station stores it, added one at a time in
-        segment order (``blocks._gain_rows``).  The local energy of column c
+        segment order (:func:`_gain_rows`).  The local energy of column c
         is ``sum(g[i - 1] for i in c)`` plus a part that does not depend on
         c."""
         segs, w = self._plans[j0]

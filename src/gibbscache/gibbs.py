@@ -79,10 +79,16 @@ class GibbsParams:
         else:
             check_beta0(self.beta0)
 
-    def beta_at(self, t: int, n_bs: int) -> float:
+    def period_betas(self, p0: int, p1: int) -> np.ndarray:
+        """Beta of the N-slot periods p0 .. p1 - 1: ``beta``, or when annealed
+        ``beta0 * ln(1 + p)`` (:func:`anneal_beta`), ``math.log`` mapped, as
+        ``np.log`` can differ in the last bit by SIMD loop."""
         if self.mode == "fixed":
-            return self.beta
-        return anneal_beta(self.beta0, t, n_bs)
+            return np.full(p1 - p0, self.beta, float)
+        return np.fromiter(map(math.log, range(1 + p0, 1 + p1)), float, p1 - p0) * self.beta0
+
+    def beta_at(self, t: int, n_bs: int) -> float:
+        return float(self.period_betas(t // n_bs, t // n_bs + 1)[0])
 
 
 def conditional_distribution(
@@ -130,9 +136,7 @@ def anneal_beta(beta0: float, t: int, n_bs: int) -> float:
 
     Constant within each N-slot period; zero during the first period.
     """
-    if not 0 < beta0 < math.inf:  # checked inline: beta_at runs every slot
-        check_beta0(beta0)
-    return beta0 * math.log(1 + t // n_bs)
+    return GibbsParams("annealed", beta0=beta0).beta_at(t, n_bs)
 
 
 @dataclass(frozen=True)

@@ -348,8 +348,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
     slot_idx = 0  # number of updates performed; update k fires at (k+1)*spacing
     last_change = 0.0
     tau = 0.0  # the latest arrival time
-    beta_at = config.gibbs.beta_at
-    beta = beta_at(0, n_bs)
+    beta = config.gibbs.beta_at(0, n_bs)
     # The serving pass's flags, the only per-run arrays: it writes them span
     # by span with np.take(out=), as arrays sized by a span would pile up in
     # numpy's cache of freed buffers under 1 KiB over many runs.
@@ -407,7 +406,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> SimTrace:
             t_slots = t_all[:count]
             if count:
                 js, us = draws.take(count)
-                betas = slot_betas(beta_at, slot_idx, slot_idx + size, n_bs)[:count]
+                betas = slot_betas(config.gibbs, slot_idx, slot_idx + size, n_bs)[:count]
                 if learning:
                     fed = np.searchsorted(times[:n], t_all)[:count]
                     keys = core.advance(js, betas, us, t_slots, arrivals, fed)
@@ -554,7 +553,7 @@ def run_chain(
     for k0 in range(0, n_slots, _SLOTS):
         k1 = min(n_slots, k0 + _SLOTS)
         js, us = draws.take(k1 - k0)
-        keys = core.advance(js, slot_betas(params.beta_at, k0, k1, top.n_bs), us)
+        keys = core.advance(js, slot_betas(params, k0, k1, top.n_bs), us)
         occupancy.update(keys)
         for t in marks[bisect.bisect_right(marks, k0) : bisect.bisect_right(marks, k1)]:
             samples[t] = keys[t - k0 - 1]

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gibbscache as gc
+import reference_step
 from gibbscache import engine
-from gibbscache.blocks import SlotDraws, slot_betas
+from gibbscache.blocks import SlotDraws, _array_table, _column_table, _walk, slot_betas
 from gibbscache.config import EstimatorConfig
 from gibbscache.engine import FastCore
 from gibbscache.gibbs import GibbsParams
@@ -44,7 +45,86 @@ class TestSlotDraws:
         params = GibbsParams(mode=mode, beta=3.0, beta0=0.7)
         for n_bs, k0, k1 in [(1, 0, 5), (2, 3, 1030), (3, 1, 2), (7, 40, 41), (3, 0, 3)]:
             expect = [params.beta_at(t, n_bs) for t in range(k0, k1)]
-            assert slot_betas(params.beta_at, k0, k1, n_bs).tolist() == expect
+            assert slot_betas(params, k0, k1, n_bs).tolist() == expect
+
+    @pytest.mark.parametrize("n_bs", [2, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [GibbsParams(mode="annealed", beta0=b) for b in (1.0, 0.7, 1.3072)] + [GibbsParams(beta=3.0)],
+    )
+    def test_betas_over_a_million_slots(self, params, n_bs):
+        # In runs of 1,024 slots from slot 5, not aligned to a period, the
+        # betas equal beta0 * ln(1 + t // N) per slot, in Python floats.
+        n = 10**6
+        got = np.concatenate(
+            [slot_betas(params, k0, min(k0 + 1024, n), n_bs) for k0 in range(5, n, 1024)]
+        )
+        if params.mode == "fixed":
+            expect = np.full(n - 5, params.beta)
+        else:
+            per_period = [params.beta0 * math.log(1 + p) for p in range(n // n_bs + 1)]
+            expect = np.array(per_period)[np.arange(5, n) // n_bs]
+        assert got.tobytes() == expect.tobytes()
+
+
+def _ranks(a: np.ndarray, k: int, u: np.ndarray) -> list[int]:
+    """Each row's ``engine._lex_sample`` from the Python-float table of
+    ``tests/reference_step.py``, as its rank among the K-subsets."""
+    m = a.shape[1]
+    rank = {c: r for r, c in enumerate(itertools.combinations(range(1, m + 1), k))}
+    out = []
+    for row, x in zip(a.tolist(), u.tolist()):
+        out.append(rank[engine._lex_sample(row, k, x, reference_step.suffix_table(row, k))])
+    return out
+
+
+@st.composite
+def _short_rows(draw):
+    """Up to 4,096 rows of M <= 8 log-weights ``beta * g``, g drawn from a
+    few values so that ties are common, with K and a uniform per row."""
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, m - 1))
+    rows = draw(st.integers(1, 4096) | st.sampled_from([1, 2, 4096]))
+    beta = draw(st.sampled_from([0.0, 1e-3, 1.0, 500.0, 1e4]) | st.floats(0, 1e4))
+    pool = np.array(draw(st.lists(st.floats(0, 2), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.where(rng.random((rows, m)) < 0.8, pool[rng.integers(len(pool), size=(rows, m))],
+                 rng.random((rows, m)) * 2)
+    u = rng.random(rows)
+    u[rng.random(rows) < 0.05] = 1 - 2**-53  # the largest uniform random() returns
+    return beta * g, k, u
+
+
+class TestBlockWalk:
+    """The block path's suffix table and walk equal ``_array_table`` and the
+    Python reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_short_rows())
+    def test_column_table_and_walk(self, case):
+        a, k, u = case
+        columns = _column_table(np.ascontiguousarray(a.T), k)
+        for level, rows in zip(columns, _array_table(a, k)):
+            assert level.T.tobytes() == rows.tobytes()
+        # The Python reference, on up to 64 of the rows.
+        few = slice(0, None, max(1, len(a) // 64))
+        for level, rows in zip(columns, zip(*(reference_step.suffix_table(r, k) for r in a[few].tolist()))):
+            assert level[:, few].T.tobytes() == np.array(rows).tobytes()
+        assert _walk(np.ascontiguousarray(a.T), k, u).tolist() == _ranks(a, k, u)
+
+    @pytest.mark.parametrize("m, k", [(3, 2), (5, 2), (6, 3), (8, 4)])
+    def test_rows_finish_at_different_contents(self, m, k):
+        # One greedy row per K-subset, which it draws, so rows finish at every
+        # content from K - 1 to M - 1, some with the rest forced; then rows at
+        # beta = 0, some at the largest uniform.
+        subsets = list(itertools.combinations(range(m), k))
+        greedy = np.array([[1e4 if i in sub else 0.0 for i in range(m)] for sub in subsets])
+        a = np.concatenate([greedy, np.zeros((len(subsets), m))])
+        u = np.concatenate([np.linspace(0, 1, len(subsets), endpoint=False)] * 2)
+        u[-1] = 1 - 2**-53
+        ranks = _walk(np.ascontiguousarray(a.T), k, u).tolist()
+        assert ranks[: len(subsets)] == list(range(len(subsets)))
+        assert ranks == _ranks(a, k, u)
 
 
 class TestGate:
