@@ -4,14 +4,14 @@ evaluated for every context at once.
 A station's Gibbs update reads its own uniform, beta and the columns of the
 stations it shares a segment with: its *context*, one of C(M, K) ** n
 values for n such stations.  Where every station has few contexts,
-:class:`Blocks` evaluates a block of slots in arrays, one row per (slot,
-context of the slot's station): the gains as running sums in segment order
-(as ``FastCore._array_gains`` adds them), the suffix table by
-:func:`_array_table` and the inverse-CDF walk of ``engine._lex_sample``,
-its ``exp`` mapped from ``math``.  Every row's column is the one
+:class:`Blocks` evaluates a block of slots in arrays, one column per (slot,
+context of the slot's station): the gains added in segment order (as
+``FastCore._array_gains`` adds them), the suffix table a content at a time
+(:func:`_column_table`) and the inverse-CDF walk of ``engine._lex_sample``,
+its ``exp`` mapped from ``math``.  Every column's subset is the one
 ``FastCore.step`` would sample in that context, bit for bit.  The block is
 then resolved in order: per slot, its station's context is read from the
-current columns and its row's column looked up.
+current columns and its column's subset looked up.
 
 :class:`SlotDraws` reads the two streams the chain uses ahead, in arrays,
 for either path, from their raw MT19937 outputs: stations as ``randrange``

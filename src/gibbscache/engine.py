@@ -20,8 +20,7 @@ has more than ``BLOCK_CONTEXTS`` contexts (the columns of the stations it
 shares a segment with), it runs them as one ``block``: every slot evaluated
 for every context of its station at once, in arrays, then resolved in
 order (``blocks``); elsewhere one ``step`` per slot.  Both give the same
-columns.  The public, readable formulas live in ``model`` and ``gibbs``;
-tests assert this core agrees with them exactly.
+columns, which tests pin to the readable formulas of ``model`` and ``gibbs``.
 """
 
 from __future__ import annotations
@@ -41,15 +40,15 @@ from .realcache import most_popular_columns
 
 # ``FastCore.advance`` runs slots in blocks (``blocks.Blocks``) where no
 # station has more contexts than this, C(M, K) ** (its neighbours), and the
-# catalog has no more columns.  Measured per slot of ``run_chain`` at
-# beta0 = 1 annealed, blocks against the ``step`` loop: 1.7 against 6.5 µs
-# on line2 (2 contexts); 2.3 against 6.7 on 3 stations in a line at M = 2,
-# K = 1 (4); 6.7 against 10.2 on line2 at M = 4, K = 2 (6); 5.9 against 6.3
-# at M = 8, K = 1 (8).  At 9 contexts it depends on M: 3.2 against 4.2 on
-# 3 stations at M = 3, but 7.9 against 7.2 on line2 at M = 9 and 6.4
-# against 5.3 on 30 stations at M = 3; from 10 on the loop wins (12.9
-# against 6.7 at 10, 27.9 against 6.2 at 36).
-BLOCK_CONTEXTS = 8
+# catalog has no more columns.  Measured per slot of ``run_chain`` annealed
+# from beta0 = 1 at intensities 0.1 / i, blocks against the ``step`` loop:
+# 0.7 against 10.6 µs on line2 (2 contexts); 1.0 against 10.1 on 3 stations
+# in a line at M = 2, K = 1 (4); 3.2 against 13.1 on line2 at M = 4, K = 2
+# (6); 4.1 against 10.9 at M = 8, K = 1 (8); 2.0-5.0 against 10.3-11.2 at 9;
+# 4.7-5.5 against 10.4-13.3 at 10; 6.9-8.0 against 10.3-11.4 at 12.  At 13
+# to 15 the margin shrinks to the host's noise (the loop won once at 15),
+# and from 16 on it depends on M (12.4 against 11.2 on line2 at M = 16).
+BLOCK_CONTEXTS = 12
 
 
 def _bits(masks: Sequence[int], m: int) -> np.ndarray:

@@ -25,7 +25,9 @@ Every sum here is a left fold, whose bits do not depend on the Python
 version (``sum()`` of floats compensates from Python 3.12 on): a union's
 rate adds its intensities in content order, as ``model.UnionRates`` does,
 and :func:`expected_hit_rates` takes the last running sum of
-``np.add.accumulate`` over weight * rate in state order.
+``np.add.accumulate`` over weight * rate in state order.  The weights are
+``np.exp``'s, whose SIMD loops round differently, so exact values may differ
+in their last bits between CPUs; simulation traces do not (they map ``math``).
 """
 
 from __future__ import annotations
@@ -80,9 +82,8 @@ class GibbsParams:
             check_beta0(self.beta0)
 
     def period_betas(self, p0: int, p1: int) -> np.ndarray:
-        """Beta of the N-slot periods p0 .. p1 - 1: ``beta``, or when annealed
-        ``beta0 * ln(1 + p)`` (:func:`anneal_beta`), ``math.log`` mapped, as
-        ``np.log`` can differ in the last bit by SIMD loop."""
+        """Beta of N-slot periods p0 .. p1 - 1: ``beta``, or annealed ``beta0 *
+        ln(1 + p)``, ``math.log`` mapped (``np.log`` rounds by SIMD loop)."""
         if self.mode == "fixed":
             return np.full(p1 - p0, self.beta, float)
         return np.fromiter(map(math.log, range(1 + p0, 1 + p1)), float, p1 - p0) * self.beta0
