@@ -232,7 +232,7 @@ class Blocks:
         self.held = held
         if core.estimator is None:  # each (station, context) has one gain row
             self.gains = _fold(held, np.array(core.true_rates)[self.segs].transpose(0, 2, 1)[:, :, None])
-        else:  # the table cells of each station's gains
+        else:  # the cells of each station's gains, in its own table under local scope
             rows = np.arange(core.n_bs) * core.local * len(core.segments) + self.segs
             self.need = rows[:, None] * m + np.arange(m)[:, None]
         self.cpow = [c**j for j in range(core.n_bs)]  # a state is sum(rank[j] * c**j)
