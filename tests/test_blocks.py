@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import gibbscache as gc
 import reference_step
 from gibbscache import engine
-from gibbscache.blocks import SlotDraws, _array_table, _column_table, _walk, slot_betas
+from gibbscache.blocks import Blocks, SlotDraws, _array_table, _column_table, _walk, slot_betas
 from gibbscache.config import EstimatorConfig
 from gibbscache.engine import FastCore
 from gibbscache.gibbs import GibbsParams
@@ -151,6 +151,43 @@ class TestGate:
         core = FastCore(line2_topology, line2_catalog, 1)
         with pytest.raises(ValueError, match="beta"):
             core.block(np.zeros(3, np.intp), np.array([1.0, beta, 1.0]), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("scope", [None, "shared", "local"])
+def test_block_gains_equal_array_gains(scope):
+    # Every (slot, context) gain column of a block equals FastCore._array_gains
+    # in that context, with the counts recorded up to the slot, bit for bit;
+    # stations lie in up to 4 segments, so the order of the additions shows.
+    rng = random.Random(12)
+    est = None if scope is None else EstimatorConfig(scope=scope, c0=0.3, t0=2.0)
+    for _ in range(8):
+        top, cat, k = random_instance(rng, max_n=3, max_m=4)
+        core = FastCore(top, cat, k, est, eta=0.3)
+        plan = Blocks(core)
+        n_slots = 16
+        stations = np.array([rng.randrange(top.n_bs) for _ in range(n_slots)])
+        now = np.sort([rng.uniform(0, 50) for _ in range(n_slots)])
+        if est is None:
+            g = np.take(plan.gains, stations, -1)
+        else:
+            q = [rng.randrange(len(core.seg_bs)) for _ in range(300)]
+            draws = [np.array(q), np.array([rng.randrange(core.m) for _ in q]),
+                     np.array([rng.choice(core.seg_bs[s]) - 1 for s in q]), np.array([rng.random() < 0.5 for _ in q])]
+            arrivals = core.arrivals(*draws)
+            core.record_arrivals(arrivals, 40)
+            fed = np.sort(rng.sample(range(40, 301), n_slots))
+            g = plan._learned_gains(core, stations, now, arrivals, fed)
+        ref = FastCore(top, cat, k, est, eta=0.3)
+        for t, j in enumerate(stations.tolist()):
+            if est is not None:
+                ref.est_counts[:] = 0
+                ref.record_arrivals(ref.arrivals(*draws), fed[t])
+            for x in range(plan.c ** len(plan.near_w[j])):
+                cols = list(ref.columns())
+                for o, w in plan.near_w[j]:
+                    cols[o] = plan.columns[x // w % plan.c]
+                ref.set_columns(cols)
+                assert g[:, x, t].tobytes() == ref._array_gains(j, now[t]).tobytes()
 
 
 @pytest.mark.parametrize("scope", ["shared", "local"])
