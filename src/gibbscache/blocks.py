@@ -202,10 +202,10 @@ class Blocks:
     the digits of x in base C(M, K), the lowest-numbered neighbour lowest
     (``near_w[j]`` pairs each neighbour with its digit's weight).  Each
     station has ``n_ctx`` contexts per slot, repeated when it has fewer, so
-    every block has the same shape per slot.  Arrays list stations, and
-    then slots, last: ``held[s, i, x, j]`` marks content i if the other
-    stations of the s-th segment of j hold it in context x (every content,
-    past j's segments), and ``segs[s, j]`` is that segment.
+    every block has the same shape per slot.  Stations (slots, in a block)
+    are the arrays' last axis: ``held[s, i, x, j]`` marks content i if the
+    other stations of the s-th segment of j hold it in context x (every
+    content, past j's segments), and ``segs[s, j]`` is that segment.
     """
 
     def __init__(self, core):
