@@ -164,12 +164,12 @@ class UnionRates(dict):
     bit ``i - 1`` set iff content ``i`` is in the union.
 
     The one rule for the rate of a union of caches, read by
-    :func:`mask_hit_rate` and ``sim.run``: the intensities added left to
-    right in content order from 0.0, as :func:`hit_rate` adds them and as
-    ``gibbs.state_rates`` folds its column and pair tables.  A left fold
-    gives the same bits on every Python; ``sum()`` of floats compensates its
-    rounding from Python 3.12 on (``(1.0, 1e-16, 1e-16)`` sums to
-    1.0000000000000002 there, folds to 1.0).
+    :func:`mask_hit_rate` and ``sim._RealCaches``: the intensities added
+    left to right in content order from 0.0, as :func:`hit_rate` adds them
+    and as ``gibbs.state_rates`` folds its column and pair tables.  A left
+    fold gives the same bits on every Python; ``sum()`` of floats
+    compensates its rounding from Python 3.12 on (``(1.0, 1e-16, 1e-16)``
+    sums to 1.0000000000000002 there, folds to 1.0).
     """
 
     def __init__(self, cat: ContentCatalog):

@@ -2,7 +2,10 @@ import bisect
 import dataclasses
 import itertools
 import math
+import random
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from gibbscache.model import mask_hit_rate
 from gibbscache.realcache import most_popular_columns
 from gibbscache import engine, sim
 from gibbscache.sim import STREAM_NAMES, average_distributions, substreams
+from conftest import random_instance
 from exact_chain import ExactChain
 import reference_step
 
@@ -197,6 +201,13 @@ class TestRunChain:
         assert sum(occ.values()) == 100
         assert samples[100] == final
 
+    def test_record_at_outside_the_slots(self, line2_topology, line2_catalog):
+        params = GibbsParams(mode="fixed", beta=1.0)
+        with pytest.raises(ValueError, match=r"entries \[0, 11\] are outside the slots 1\.\.10"):
+            gc.run_chain(line2_topology, line2_catalog, 1, params, 10, seed=5, record_at={0, 5, 11})
+        with pytest.raises(ValueError, match=r"\[2\.5\]"):
+            gc.run_chain(line2_topology, line2_catalog, 1, params, 10, seed=5, record_at={2.5, 5})
+
     def test_initial_placement_honoured(self, line2_topology, line2_catalog):
         params = GibbsParams(mode="fixed", beta=0.0)
         initial = ((2,), (2,))
@@ -228,6 +239,72 @@ class TestRunChain:
             emp = counts.get(state, 0) / reps
             sigma = math.sqrt(mu[idx] * (1 - mu[idx]) / reps)
             assert abs(emp - mu[idx]) < 4 * sigma + 1e-9
+
+
+class TestRealCaches:
+    """The real caches' object against its masks: lookup rows rebuilt by
+    ``engine._bits``, the hit rate by ``mask_hit_rate``, and occupancy that
+    adds up to the time covered."""
+
+    @staticmethod
+    def check(caches, top, cat, snap):
+        m, masks = cat.m_contents, caches.masks
+        segs = [[b - 1 for b in bs] for bs in caches.core.seg_bs]
+        unions = [reduce(or_, [masks[b] for b in seg]) for seg in segs]
+        assert caches.held.tolist() == engine._bits(unions + masks, m).ravel().tolist()
+        stations = engine._bits(snap, m).ravel().tolist()
+        assert caches.snap_held.tolist() == [False] * (len(segs) * m) + stations
+        assert caches.h == mask_hit_rate(top, cat)(masks)
+        assert caches.hit_rates[caches.key] == caches.h
+        assert [sum(1 << i - 1 for i in col) for col in caches.key] == masks
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stores_and_refreshes(self, seed):
+        rng = random.Random(seed)
+        top, _, _ = random_instance(rng, max_n=4, max_m=2, max_k=1)
+        m = 70 if seed % 2 else rng.randint(3, 8)  # 70: masks past bit 64
+        k = rng.randint(1, min(4, m - 1))
+        cat = gc.ContentCatalog(tuple(rng.uniform(0.05, 1.0) for _ in range(m)))
+        core = engine.FastCore(top, cat, k)
+        horizon, n_windows = 50.0, 7
+        wlen = horizon / n_windows
+        caches = sim._RealCaches(core, cat, horizon, n_windows)
+        snap = core.masks[:]
+        t, spans = 0.0, []
+        for step in range(300):
+            if rng.random() < 0.15:
+                snap = [sum(1 << i for i in rng.sample(range(m), k)) for _ in range(top.n_bs)]
+                caches.refresh(snap[:])
+            else:
+                # A stored content is one the snapshot lists at the station.
+                j = rng.randrange(top.n_bs)
+                i0 = rng.choice([i for i in range(m) if snap[j] >> i & 1])
+                # Steps 100 and 200 cross three windows onto a window's edge.
+                t1 = (int(t / wlen) + 3) * wlen if step in (100, 200) else t + rng.uniform(0, 0.05)
+                spans.append((t1 - t, caches.h))
+                t, old = t1, caches.masks[j]
+                caches.store(j, i0, t)
+                assert caches.masks[j] == old & snap[j] | 1 << i0
+            self.check(caches, top, cat, snap)
+        spans.append((horizon - t, caches.h))
+        caches.occupy(horizon)
+        assert caches.since == horizon
+        totals = [math.fsum(window.values()) for window in caches.occ]
+        assert totals == pytest.approx([wlen] * n_windows, rel=1e-12)
+        assert math.fsum(caches.h_int) == pytest.approx(math.fsum(dt * x for dt, x in spans))
+
+    def test_store_evicts_every_stale_content(self):
+        top = gc.from_intervals([(0, 6), (1, 10)])
+        cat = gc.ContentCatalog(tuple(0.1 / i for i in range(1, 71)))
+        caches = sim._RealCaches(engine.FastCore(top, cat, 3), cat, 10.0, 2)
+        snap = [sum(1 << i - 1 for i in col) for col in ((2, 66, 69), (66, 68, 70))]
+        caches.refresh(snap[:])
+        caches.store(1, 67, 1.0)  # drops 1, 2 and 3 at station 2
+        assert caches.key == ((1, 2, 3), (68,))
+        self.check(caches, top, cat, snap)
+        caches.store(0, 65, 2.0)  # keeps 2
+        assert caches.key == ((2, 66), (68,))
+        self.check(caches, top, cat, snap)
 
 
 class TestExactChain:
